@@ -55,6 +55,7 @@ from .weights import (
     is_one_generic,
     is_one_generic_pair,
     jh_dl_reduction,
+    presentation,
     presentations,
     presentations_feasible,
     s_w,

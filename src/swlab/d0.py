@@ -70,12 +70,7 @@ def _block(params: Params, pres: Presentation) -> D0SigmaReport:
 
 def d0_sigma(t: TameParam, label: int) -> D0SigmaReport:
     """The block attached to one hypercube label of the parameter."""
-    if not weights.is_one_generic(t):
-        raise PreconditionViolation("parameter is not 1-generic")
-    if not 0 <= label < 1 << t.params.f:
-        raise PreconditionViolation(f"label {label} is not an f-bit mask")
-    pres = weights.presentations(t)[label]
-    return _block(t.params, pres)
+    return _block(t.params, weights.presentation(t, label))
 
 
 def d0_full(t: TameParam) -> D0Report:
@@ -126,16 +121,7 @@ def upperbound_consistency(rep: D0Report) -> bool:
                     return False
             elif count != 0:
                 return False
-            if count >= 2:
-                return False
     return True
-
-
-def _jset_json(J: envelope.JSet) -> dict:
-    return {
-        "plus": [i for i in range(J.f) if J.plus >> i & 1],
-        "minus": [i for i in range(J.f) if J.minus >> i & 1],
-    }
 
 
 def d0_report_json(rep: D0Report) -> dict:
@@ -151,7 +137,7 @@ def d0_report_json(rep: D0Report) -> dict:
                 "lambda": lattice.weight_to_str(block.lam),
                 "w_sigma": lattice.weyl_to_str(block.w_sigma),
                 "constituents": [
-                    {**_jset_json(J), "r": list(c.r), "d": c.d, "layer": layer}
+                    {**envelope.jset_json(J), "r": list(c.r), "d": c.d, "layer": layer}
                     for J, c, layer in block.constituents
                 ],
             }

@@ -109,10 +109,10 @@ def k_of(J: JSet) -> MultiIndex:
 
 
 def sigma_label(params: Params, mu: Weight, J: JSet) -> SerreWeightClass:
-    point = J.omega()
-    if not graph.in_graph(params, mu, point):
+    x = graph.t_mu_raw(params, mu, J.omega())
+    if not graph.is_member_image(params, x):
         raise PreconditionViolation(f"omega_J for {J} is not a graph member")
-    return graph.t_mu(params, mu, point)
+    return lattice.serre_class(params, x)
 
 
 def _check_depth(params: Params, mu: Weight) -> None:
@@ -286,7 +286,7 @@ def hom_dim(params: Params, mu: Weight, sigma: SerreWeightClass) -> tuple[int, t
     return len(labels), labels
 
 
-def _jset_json(J: JSet) -> dict:
+def jset_json(J: JSet) -> dict:
     return {
         "plus": [i for i in range(J.f) if J.plus >> i & 1],
         "minus": [i for i in range(J.f) if J.minus >> i & 1],
@@ -301,13 +301,13 @@ def envelope_report(params: Params, mu: Weight) -> dict:
             {
                 "k": list(k.k),
                 "labels": [
-                    {**_jset_json(J), "r": list(c.r), "d": c.d, "dim": dim_serre(c)}
+                    {**jset_json(J), "r": list(c.r), "d": c.d, "dim": dim_serre(c)}
                     for J, c in rep.by_index[k]
                 ],
             }
         )
     edges = [
-        [_jset_json(J), _jset_json(Jp)]
+        [jset_json(J), jset_json(Jp)]
         for J in all_jsets(params.f)
         for Jp in J.covers()
     ]

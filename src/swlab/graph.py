@@ -97,11 +97,28 @@ def omega_element(params: Params, J: int) -> OmegaElement:
 
 
 def t_mu_raw(params: Params, mu: Weight, w: LambdaWElement) -> Weight:
-    """Image of a graph point in the character lattice (no quotient taken)."""
-    dec = decompose(w)
-    base = mu + embed_graph_point(w) - eta(params.f)
-    g = omega_element(params, dec.J).element
-    return lattice.p_dot(params, g, base)
+    """Image of a graph point in the character lattice (no quotient taken).
+
+    A single-pass form of the composed formula
+    ``p_dot(omega_element(decompose(w).J), mu + embed_graph_point(w) - eta)``,
+    which the tests pin it against: one loop builds the parity mask J and
+    the base coordinates, where c_i = j_i + 2m_i contributes
+    (a_i + j_i + m_i - 1, b_i - m_i).
+    """
+    J = 0
+    base = []
+    for i, (c, (a, b)) in enumerate(zip(w.coeffs, mu.coords)):
+        j = c & 1
+        m = c >> 1  # floor halving: c = j + 2m also for negative c
+        J |= j << i
+        base.append((a + j + m - 1, b - m))
+    g = omega_element(params, J).element
+    return lattice.p_dot(params, g, Weight(tuple(base)))
+
+
+def is_member_image(params: Params, x: Weight) -> bool:
+    """Membership test on a raw image: every pairing of x + eta lies in [0, p)."""
+    return all(0 <= m + 1 < params.p for m in x.pairings())
 
 
 def in_graph(params: Params, mu: Weight, w: LambdaWElement) -> bool:
@@ -110,8 +127,7 @@ def in_graph(params: Params, mu: Weight, w: LambdaWElement) -> bool:
     The pairing condition is invariant under central (p - pi)-shifts, so no
     lattice reduction is needed.
     """
-    x = t_mu_raw(params, mu, w)
-    return all(0 <= m + 1 < params.p for m in x.pairings())
+    return is_member_image(params, t_mu_raw(params, mu, w))
 
 
 def t_mu(params: Params, mu: Weight, w: LambdaWElement) -> SerreWeightClass:
@@ -140,9 +156,10 @@ def ext1_dim(params: Params, mu: Weight, w1: LambdaWElement, w2: LambdaWElement)
     """Predicted Ext^1 dimension between the classes of two graph points:
     1 exactly for adjacent points, 0 otherwise.  Symmetric by construction."""
     for w in (w1, w2):
-        if not in_graph(params, mu, w):
+        x = t_mu_raw(params, mu, w)
+        if not is_member_image(params, x):
             raise PreconditionViolation(f"point {w.coeffs} is not a graph member")
-        x = t_mu_raw(params, mu, w) + eta(params.f)
+        x = x + eta(params.f)
         if not lattice.is_generic_char(params, x):
             raise PreconditionViolation(
                 f"image of {w.coeffs} shifted by eta has pairings {x.pairings()}, not generic"
@@ -158,9 +175,10 @@ def recenter_check(params: Params, mu: Weight, w0pt: LambdaWElement, wprime: Lam
     (acting componentwise by sign flips, with no Frobenius shift) and
     evaluates over the original weight.
     """
-    if not in_graph(params, mu, w0pt):
+    x = t_mu_raw(params, mu, w0pt)
+    if not is_member_image(params, x):
         raise PreconditionViolation(f"recentring point {w0pt.coeffs} is not a graph member")
-    lam = t_mu_raw(params, mu, w0pt) + eta(params.f)
+    lam = x + eta(params.f)
     w_j = omega_element(params, decompose(w0pt).J).element.weyl
     pulled = w_j.act_lambda(wprime) + w0pt
     return t_mu(params, lam, wprime) == t_mu(params, mu, pulled)
@@ -179,16 +197,19 @@ class GraphEnumeration:
 def enumerate_graph(params: Params, mu: Weight, radius: int) -> GraphEnumeration:
     """All graph members with coefficients in [-radius, radius]^f, in sorted
     coefficient order."""
+    if radius < 0:
+        raise PreconditionViolation(f"radius must be >= 0, got {radius}")
     if not lattice.is_dominant(mu - eta(params.f)):
         raise PreconditionViolation("mu - eta must be dominant")
     vertices = []
     boundary = []
     for coeffs in itertools.product(range(-radius, radius + 1), repeat=params.f):
         w = LambdaWElement(coeffs)
-        if not in_graph(params, mu, w):
+        x = t_mu_raw(params, mu, w)
+        if not is_member_image(params, x):
             continue
         try:
-            vertices.append((w, t_mu(params, mu, w)))
+            vertices.append((w, lattice.serre_class(params, x)))
         except NotRestricted:
             boundary.append(w)
     edges = [

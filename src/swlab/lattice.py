@@ -127,11 +127,6 @@ class LambdaWElement:
         return LambdaWElement(tuple(c[(i + 1) % f] for i in range(f)))
 
 
-@functools.cache
-def zero_lambda(f: int) -> LambdaWElement:
-    return LambdaWElement((0,) * f)
-
-
 @dataclass(frozen=True)
 class WeylElement:
     """An element of W = S2^f; flag i set means the swap acts at coordinate i."""
@@ -200,9 +195,22 @@ class ExtAffineElement:
 
 
 def p_dot(params: Params, g: ExtAffineElement, w: Weight) -> Weight:
-    """The p-dot action: scale the translation by p and conjugate by +eta."""
-    e = eta(w.f)
-    return g.translation.scale(params.p) + g.weyl.act(w + e) - e
+    """The p-dot action: scale the translation by p and conjugate by +eta.
+
+    A single-pass form of the composed formula
+    ``g.translation.scale(p) + g.weyl.act(w + eta) - eta``, which the tests
+    pin it against: at an unswapped coordinate (a, b) goes to (a, b), at a
+    swapped one to (b - 1, a + 1), before the scaled translation is added.
+    """
+    p = params.p
+    return Weight(
+        tuple(
+            [
+                (p * ta + b - 1, p * tb + a + 1) if s else (p * ta + a, p * tb + b)
+                for (ta, tb), s, (a, b) in zip(g.translation.coords, g.weyl.flags, w.coords)
+            ]
+        )
+    )
 
 
 def is_deep(params: Params, w: Weight, n: int) -> bool:
@@ -229,10 +237,6 @@ def is_regular(params: Params, w: Weight) -> bool:
 
 def is_dominant(w: Weight) -> bool:
     return all(m >= 0 for m in w.pairings())
-
-
-def is_restricted(params: Params, w: Weight) -> bool:
-    return all(0 <= m <= params.p - 1 for m in w.pairings())
 
 
 @dataclass(frozen=True, order=True)

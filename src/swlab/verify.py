@@ -48,6 +48,13 @@ class SuiteConfig:
     cases: int = 10000
     seed: int = 0
 
+    def __post_init__(self):
+        # a sampled sweep of no cases, or an empty box, would pass vacuously
+        if self.cases < 1:
+            raise PreconditionViolation(f"cases must be >= 1, got {self.cases}")
+        if self.radius < 0:
+            raise PreconditionViolation(f"radius must be >= 0, got {self.radius}")
+
 
 @dataclass(frozen=True)
 class SuiteOutcome:

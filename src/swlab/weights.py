@@ -100,18 +100,21 @@ def hypercube_point(signs: SignedSet, label: int) -> LambdaWElement:
     )
 
 
+def _class_set(f: int, signs: SignedSet, classify) -> set[SerreWeightClass]:
+    """Classes of the 2^f signed hypercube points, evaluated in label order.
+    A collision would contradict graph injectivity."""
+    classes = {classify(hypercube_point(signs, label)) for label in range(1 << f)}
+    if len(classes) != 1 << f:
+        raise CardinalityError(
+            f"predicted weight set has {len(classes)} elements, expected {1 << f}"
+        )
+    return classes
+
+
 def w_question(t: TameParam) -> tuple[SerreWeightClass, ...]:
     """The predicted weight set: classes of the 2^f signed hypercube points,
-    returned sorted.  A collision would contradict graph injectivity."""
-    signs = s_w(t.w)
-    classes = {
-        graph.t_mu(t.params, t.mu, hypercube_point(signs, label))
-        for label in range(1 << t.params.f)
-    }
-    if len(classes) != 1 << t.params.f:
-        raise CardinalityError(
-            f"predicted weight set has {len(classes)} elements, expected {1 << t.params.f}"
-        )
+    returned sorted."""
+    classes = _class_set(t.params.f, s_w(t.w), lambda point: graph.t_mu(t.params, t.mu, point))
     return tuple(sorted(classes))
 
 
@@ -132,39 +135,60 @@ class Presentation:
     w_sigma: WeylElement
 
 
-def presentations(t: TameParam) -> tuple[Presentation, ...]:
-    """All 2^f recentred presentations.  For each hypercube label the unique
-    Weyl element whose parameter at the recentred weight reproduces the
-    predicted set is found by exhaustive search; zero or multiple matches
-    flag a model violation."""
+def _presentation(t: TameParam, target: frozenset, label: int) -> Presentation:
+    """The recentred presentation at one hypercube label.  The unique Weyl
+    element whose parameter at the recentred weight reproduces the target
+    set is found by exhaustive search over all 2^f candidates; zero or
+    multiple matches flag a model violation.
+
+    The candidates' hypercubes over the recentred weight share their points,
+    at most 3^f of them, so each point is classified once per call.
+    """
+    params = t.params
+    x = graph.t_mu_raw(params, t.mu, hypercube_point(s_w(t.w), label))
+    sigma = lattice.serre_class(params, x)
+    lam = x + eta(params.f)
+    memo: dict[tuple[int, ...], SerreWeightClass] = {}
+
+    def classify(point: LambdaWElement) -> SerreWeightClass:
+        if point.coeffs not in memo:
+            memo[point.coeffs] = graph.t_mu(params, lam, point)
+        return memo[point.coeffs]
+
+    matches = []
+    for flags in itertools.product((False, True), repeat=params.f):
+        try:
+            cand = TameParam(WeylElement(flags), lam, params)
+        except PreconditionViolation:
+            # the recentred weight is not 1-deep: no candidate over it
+            # can be formed, and if this happens for every flag vector
+            # the parameter pair was not generic
+            continue
+        if _class_set(params.f, s_w(cand.w), classify) == target:
+            matches.append(cand.w)
+    if len(matches) != 1:
+        raise PresentationError(
+            f"label {label:#b}: {len(matches)} Weyl candidates reproduce the weight "
+            f"set; recentred weight has pairings {lam.pairings()}"
+        )
+    return Presentation(label, sigma, lam, matches[0])
+
+
+def presentation(t: TameParam, label: int) -> Presentation:
+    """The recentred presentation at one hypercube label of the parameter."""
     if not is_one_generic(t):
         raise PreconditionViolation("parameter is not 1-generic")
-    params = t.params
+    if not 0 <= label < 1 << t.params.f:
+        raise PreconditionViolation(f"label {label} is not an f-bit mask")
+    return _presentation(t, frozenset(w_question(t)), label)
+
+
+def presentations(t: TameParam) -> tuple[Presentation, ...]:
+    """All 2^f recentred presentations, in label order."""
+    if not is_one_generic(t):
+        raise PreconditionViolation("parameter is not 1-generic")
     target = frozenset(w_question(t))
-    signs = s_w(t.w)
-    out = []
-    for label in range(1 << params.f):
-        point = hypercube_point(signs, label)
-        sigma = graph.t_mu(params, t.mu, point)
-        lam = graph.t_mu_raw(params, t.mu, point) + eta(params.f)
-        matches = []
-        for flags in itertools.product((False, True), repeat=params.f):
-            try:
-                cand = TameParam(WeylElement(flags), lam, params)
-            except PreconditionViolation:
-                # the recentred weight is not 1-deep: no candidate over it
-                # can be formed, and if this happens for every flag vector
-                # the parameter pair was not generic
-                continue
-            if frozenset(w_question(cand)) == target:
-                matches.append(cand.w)
-        if len(matches) != 1:
-            raise PresentationError(
-                f"label {label:#b}: {len(matches)} Weyl candidates reproduce the weight "
-                f"set; recentred weight has pairings {lam.pairings()}"
-            )
-        out.append(Presentation(label, sigma, lam, matches[0]))
-    return tuple(out)
+    return tuple(_presentation(t, target, label) for label in range(1 << t.params.f))
 
 
 def weights_report(t: TameParam) -> dict:

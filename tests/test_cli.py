@@ -28,6 +28,13 @@ def test_graph_radius_zero(capsys):
     assert len(json.loads(out)["vertices"]) == 1
 
 
+def test_graph_rejects_negative_radius(capsys):
+    code, out, err = run_cli(capsys, "graph", "--p", "7", "--f", "1", "--mu", "4,0", "--radius", "-3")
+    assert code == 2
+    assert out == ""
+    assert "radius" in err
+
+
 def test_graph_dot(capsys):
     code, out, _ = run_cli(
         capsys, "graph", "--p", "7", "--f", "1", "--mu", "4,0", "--format", "dot"
@@ -176,3 +183,13 @@ def test_verify_bad_list(capsys):
     code, _, err = run_cli(capsys, "verify", "--p", "5;7", "--f", "1")
     assert code == 2
     assert "comma-separated" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--cases", "0"), ("--cases", "-5"), ("--radius", "-1")]
+)
+def test_verify_rejects_vacuous_sweep(capsys, flag, value):
+    code, out, err = run_cli(capsys, "verify", "--p", "5", "--f", "1", flag, value)
+    assert code == 2
+    assert out == ""
+    assert flag[2:] in err

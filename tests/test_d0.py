@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from swlab.d0 import (
@@ -13,7 +15,7 @@ from swlab.d0 import (
 from swlab.envelope import JSet
 from swlab.errors import PreconditionViolation
 from swlab.lattice import Params, SerreWeightClass, Weight, WeylElement
-from swlab.weights import TameParam, w_question
+from swlab.weights import TameParam, is_one_generic, presentations_feasible, w_question
 
 P71 = Params(7, 1)
 P72 = Params(7, 2)
@@ -40,6 +42,21 @@ def test_d0_sigma_base_block():
 def test_d0_sigma_label_range():
     with pytest.raises(PreconditionViolation):
         d0_sigma(t_irred(), 2)
+
+
+def test_d0_sigma_matches_full_blocks():
+    checked = 0
+    for pairings in itertools.product(range(2, 6), repeat=2):
+        mu = Weight(tuple((m, 0) for m in pairings))
+        for flags in itertools.product((False, True), repeat=2):
+            t = TameParam(WeylElement(flags), mu, P72)
+            if not (is_one_generic(t) and presentations_feasible(t)):
+                continue
+            rep = d0_full(t)
+            for label in range(4):
+                assert d0_sigma(t, label) == rep.blocks[label]
+            checked += 1
+    assert checked > 0
 
 
 def test_d0_full_f1_irreducible():

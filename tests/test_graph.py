@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -28,6 +29,7 @@ from swlab.lattice import (
     Weight,
     WeylElement,
     eta,
+    serre_class,
     stabilizes_base_alcove,
 )
 
@@ -118,6 +120,71 @@ def test_t_mu_boundary_raises():
         t_mu(P51, mu, lam(-2))
 
 
+def composed_t_mu_raw(params, mu, w):
+    """t_mu_raw as composed Weight arithmetic through decompose and
+    embed_graph_point, the reference form."""
+    g = omega_element(params, decompose(w).J).element
+    e = eta(params.f)
+    base = mu + embed_graph_point(w) - e
+    return g.translation.scale(params.p) + g.weyl.act(base + e) - e
+
+
+def _check_against_composed(params, mu, w):
+    """Compare t_mu_raw, in_graph and t_mu with the reference; returns
+    whether the point is a graph member whose class construction fails."""
+    ref = composed_t_mu_raw(params, mu, w)
+    assert t_mu_raw(params, mu, w) == ref
+    pairings = ref.pairings()
+    assert in_graph(params, mu, w) == all(-1 <= m < params.p - 1 for m in pairings)
+    if all(0 <= m <= params.p - 1 for m in pairings):
+        assert t_mu(params, mu, w) == serre_class(params, ref)
+        return False
+    with pytest.raises(NotRestricted):
+        t_mu(params, mu, w)
+    return in_graph(params, mu, w)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 101])
+def test_t_mu_raw_matches_composed_formula(p):
+    rng = random.Random(1000 + p)
+    boundary = 0
+    for f in range(1, 5):
+        params = Params(p, f)
+        for _ in range(150):
+            mu = Weight(
+                tuple(
+                    (m + b, b)
+                    for m, b in ((rng.randint(1, p - 1), rng.randint(-3, 3)) for _ in range(f))
+                )
+            )
+            w = LambdaWElement(tuple(rng.randint(-7, 7) for _ in range(f)))
+            boundary += _check_against_composed(params, mu, w)
+    if p <= 11:
+        # the sample reaches members whose image has a pairing of -1
+        assert boundary > 0
+
+
+def test_t_mu_raw_negative_odd_coefficients():
+    # odd negative coefficients split as 1 + 2m with m = (c - 1) // 2 < 0
+    for f in (1, 2, 3):
+        params = Params(7, f)
+        mu = Weight(tuple((4 + i, i) for i in range(f)))
+        for coeffs in itertools.product((-7, -5, -3, -1, 1), repeat=f):
+            _check_against_composed(params, mu, LambdaWElement(coeffs))
+
+
+def test_t_mu_not_restricted_boundary():
+    # at p = 5 the images reach pairing -1 (a member, class fails), 4 = p - 1
+    # (restricted, not a member) and 5 = p (class fails, not a member)
+    seen = set()
+    for m in range(1, 5):
+        mu = Weight(((m, 0),))
+        for c in range(-6, 7):
+            _check_against_composed(P51, mu, lam(c))
+            seen.add(composed_t_mu_raw(P51, mu, lam(c)).pairings()[0])
+    assert {-1, 4, 5} <= seen
+
+
 def test_adjacent():
     assert adjacent(lam(0, 0), lam(1, 0))
     assert not adjacent(lam(0, 0), lam(1, 1))
@@ -174,6 +241,11 @@ def test_enumerate_graph_boundary():
     enum = enumerate_graph(P51, Weight(((2, 0),)), 2)
     assert (-2,) in [w.coeffs for w in enum.boundary]
     assert all(w.coeffs != (-2,) for w, _ in enum.vertices)
+
+
+def test_enumerate_graph_rejects_negative_radius():
+    with pytest.raises(PreconditionViolation):
+        enumerate_graph(P71, MU4, -1)
 
 
 def test_enumerate_graph_requires_dominant():

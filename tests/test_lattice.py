@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +111,27 @@ def test_ext_affine_group_law(g, h, k):
     ident = ExtAffineElement.identity(2)
     assert g * g.inverse() == ident
     assert g.inverse() * g == ident
+
+
+def composed_p_dot(params, g, w):
+    """The p-dot action as composed Weight arithmetic, the reference form."""
+    e = eta(w.f)
+    return g.translation.scale(params.p) + g.weyl.act(w + e) - e
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 101])
+def test_p_dot_matches_composed_formula(p):
+    rng = random.Random(p)
+    for f in range(1, 5):
+        params = Params(p, f)
+        for _ in range(200):
+            g = ExtAffineElement(
+                Weight(tuple((rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(f))),
+                WeylElement(tuple(rng.random() < 0.5 for _ in range(f))),
+            )
+            bound = 3 * p
+            w = Weight(tuple((rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(f)))
+            assert p_dot(params, g, w) == composed_p_dot(params, g, w)
 
 
 def test_from_right_translation():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from swlab.errors import PreconditionViolation
+from swlab.errors import PresentationError, PreconditionViolation
 from swlab.lattice import (
     Params,
     SerreWeightClass,
@@ -15,6 +15,7 @@ from swlab.weights import (
     is_one_generic,
     is_one_generic_pair,
     jh_dl_reduction,
+    presentation,
     presentation_weights,
     presentations,
     presentations_feasible,
@@ -145,6 +146,64 @@ def test_presentations_requires_generic():
     assert not is_one_generic(t)
     with pytest.raises(PreconditionViolation):
         presentations(t)
+
+
+def _search_per_candidate(t):
+    """Presentations by calling w_question once per candidate, the
+    reference form of the search."""
+    target = w_question(t)
+    out = []
+    for label, point_lam in enumerate(presentation_weights(t)):
+        matches = []
+        for flags in itertools.product((False, True), repeat=t.params.f):
+            try:
+                cand = TameParam(WeylElement(flags), point_lam, t.params)
+            except PreconditionViolation:
+                continue
+            if w_question(cand) == target:
+                matches.append(cand.w)
+        if len(matches) != 1:
+            return None
+        out.append((label, point_lam, matches[0]))
+    return out
+
+
+def test_presentations_match_per_candidate_search():
+    checked = 0
+    for f in (1, 2):
+        params = Params(7, f)
+        for pairings in itertools.product(range(2, 6), repeat=f):
+            mu = Weight(tuple((m, 0) for m in pairings))
+            for flags in itertools.product((False, True), repeat=f):
+                t = TameParam(WeylElement(flags), mu, params)
+                if not is_one_generic(t):
+                    continue
+                want = _search_per_candidate(t)
+                if want is None:
+                    with pytest.raises(PresentationError):
+                        presentations(t)
+                    continue
+                pres = presentations(t)
+                assert [(p.label, p.lam, p.w_sigma) for p in pres] == want
+                assert [presentation(t, label) for label in range(1 << f)] == list(pres)
+                checked += 1
+    assert checked > 0
+
+
+def test_presentations_not_feasible_raises():
+    # the (s,e) parameter at pairings (2,5): label 0b1 recentres to pairings
+    # (1,2), which is not 1-deep, so no candidate can be formed over it
+    t = TameParam(WeylElement((True, False)), Weight(((2, 0), (5, 0))), P72)
+    with pytest.raises(PresentationError, match="label 0b1: 0 Weyl candidates"):
+        presentations(t)
+    with pytest.raises(PresentationError):
+        presentation(t, 1)
+    assert presentation(t, 0).lam == t.mu
+
+
+def test_presentation_label_range():
+    with pytest.raises(PreconditionViolation):
+        presentation(TameParam(W_S, MU4, P71), 2)
 
 
 def test_weights_report_schema():
