@@ -20,7 +20,7 @@ for block in rep.blocks:
     for J, cls, layer in block.constituents:
         print(f"    layer {layer}: r={cls.r}, d={cls.d}")
 print()
-print("multiplicity free:", rep.multiplicity_free)
+print("multiplicity free:", len(rep.all_constituents) == 4 ** params.f)
 print("radical avoids the cosocles:", radical_disjointness_check(rep))
 print("hom-dimension bounds hold:", upperbound_consistency(rep))
 print()

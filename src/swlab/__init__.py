@@ -9,7 +9,6 @@ with an exhaustive small-case verification harness.
 from .errors import (
     CardinalityError,
     MultiplicityError,
-    MultiplicityViolation,
     NotRegular,
     NotRestricted,
     PresentationError,

@@ -13,7 +13,7 @@ import sys
 
 from . import d0 as d0_mod
 from . import envelope, graph, lattice, verify, weights
-from .errors import MultiplicityViolation, PresentationError, PreconditionViolation, SwlabError
+from .errors import MultiplicityError, PresentationError, PreconditionViolation, SwlabError
 from .lattice import Params
 
 
@@ -110,18 +110,14 @@ def _cmd_d0(args) -> int:
         return _fail_input("not 1-deep at every recentred presentation")
     try:
         rep = d0_mod.d0_full(t)
-    except (MultiplicityViolation, PresentationError) as exc:
+    except (MultiplicityError, PresentationError) as exc:
         sys.stderr.write(f"model violation: {exc}\n")
         return 1
     if args.format == "dot":
         sys.stdout.write(d0_mod.d0_dot(rep))
     else:
         _emit(d0_mod.d0_report_json(rep))
-    if not (
-        rep.multiplicity_free
-        and d0_mod.radical_disjointness_check(rep)
-        and d0_mod.upperbound_consistency(rep)
-    ):
+    if not (d0_mod.radical_disjointness_check(rep) and d0_mod.upperbound_consistency(rep)):
         return 1
     return 0
 

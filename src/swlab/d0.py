@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import envelope, lattice, weights
-from .errors import MultiplicityViolation, PreconditionViolation
+from .errors import MultiplicityError, PreconditionViolation
 from .lattice import Params, SerreWeightClass, Weight, WeylElement
 from .weights import Presentation, TameParam
 
@@ -38,7 +38,6 @@ class D0Report:
     param: TameParam
     blocks: tuple[D0SigmaReport, ...]
     all_constituents: tuple[SerreWeightClass, ...]
-    multiplicity_free: bool
 
 
 def _block(params: Params, pres: Presentation) -> D0SigmaReport:
@@ -84,17 +83,12 @@ def d0_full(t: TameParam) -> D0Report:
     for b_idx, block in enumerate(blocks):
         for J, cls, _layer in block.constituents:
             if cls in seen:
-                raise MultiplicityViolation(
+                raise MultiplicityError(
                     f"class {cls} appears in block {seen[cls][0]} at {seen[cls][1]} "
                     f"and in block {b_idx} at {J}"
                 )
             seen[cls] = (b_idx, J)
-    return D0Report(
-        param=t,
-        blocks=blocks,
-        all_constituents=tuple(sorted(seen)),
-        multiplicity_free=True,
-    )
+    return D0Report(param=t, blocks=blocks, all_constituents=tuple(sorted(seen)))
 
 
 def radical_disjointness_check(rep: D0Report) -> bool:
@@ -143,7 +137,8 @@ def d0_report_json(rep: D0Report) -> dict:
             }
             for block in rep.blocks
         ],
-        "multiplicity_free": rep.multiplicity_free,
+        # d0_full raises on a repeated class, so every report is free
+        "multiplicity_free": True,
         "checks": {
             "radical_disjoint": radical_disjointness_check(rep),
             "upperbound_consistent": upperbound_consistency(rep),

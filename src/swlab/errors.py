@@ -26,8 +26,4 @@ class PresentationError(SwlabError):
 
 
 class MultiplicityError(SwlabError):
-    """A graded piece contains a repeated constituent class."""
-
-
-class MultiplicityViolation(SwlabError):
-    """A D0 report contains a repeated constituent class."""
+    """A graded piece or a D0 report contains a repeated constituent class."""

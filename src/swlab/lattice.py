@@ -334,7 +334,7 @@ def stabilizes_base_alcove(params: Params, g: ExtAffineElement) -> bool:
     return True
 
 
-def central_shift_vector(f: int, coefficients: tuple[int, ...]) -> Weight:
+def central_shift_vector(coefficients: tuple[int, ...]) -> Weight:
     """The central weight sum c_i (1,1)^(i)."""
     return Weight(tuple((c, c) for c in coefficients))
 

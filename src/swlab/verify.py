@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import d0 as d0_mod
@@ -22,7 +20,6 @@ from . import weights as weights_mod
 from .errors import (
     CardinalityError,
     MultiplicityError,
-    MultiplicityViolation,
     PresentationError,
     PreconditionViolation,
 )
@@ -199,7 +196,7 @@ def check_serre_class_orbit(params: Params, cfg: SuiteConfig) -> list[SuiteOutco
         w = Weight(tuple((ri + bi, bi) for ri, bi in zip(r, b)))
         m = [rng.randint(-3, 3) for _ in range(f)]
         shift = tuple(p * m[i] - m[(i - 1) % f] for i in range(f))
-        w2 = w + lattice.central_shift_vector(f, shift)
+        w2 = w + lattice.central_shift_vector(shift)
         if lattice.serre_class(params, w) != lattice.serre_class(params, w2):
             return _fail(name, params, f"w={w.coords}, shift={shift}")
     return _ok(name, params)
@@ -721,7 +718,7 @@ def check_d0_multiplicity_one(params: Params, cfg: SuiteConfig) -> list[SuiteOut
         tag = f"{t.mu.pairings()} w={t.w.flags}"
         try:
             rep = d0_mod.d0_full(t)
-        except (MultiplicityViolation, PresentationError) as exc:
+        except (MultiplicityError, PresentationError) as exc:
             return _fail(name, params, f"{tag}: {exc}")
         if len(rep.all_constituents) != 4**params.f:
             return _fail(name, params, f"{tag}: {len(rep.all_constituents)} constituents")
@@ -768,14 +765,12 @@ def check_d0_central_twist(params: Params, cfg: SuiteConfig) -> list[SuiteOutcom
     """Shifting mu by a central character twists every constituent residue
     uniformly and preserves everything else."""
     name = "d0_central_twist"
-    shift = lattice.central_shift_vector(params.f, (1,) + (0,) * (params.f - 1))
+    shift = lattice.central_shift_vector((1,) + (0,) * (params.f - 1))
     for t in feasible_generic_params(params):
         tag = f"{t.mu.pairings()} w={t.w.flags}"
         rep = d0_mod.d0_full(t)
         twisted = weights_mod.TameParam(t.w, t.mu + shift, params)
         rep2 = d0_mod.d0_full(twisted)
-        if not rep2.multiplicity_free:
-            return _fail(name, params, f"{tag}: twist broke multiplicity")
         for b1, b2 in zip(rep.blocks, rep2.blocks):
             for (j1, c1, l1), (j2, c2, l2) in zip(b1.constituents, b2.constituents):
                 if j1 != j2 or l1 != l2 or c1.r != c2.r:
@@ -817,33 +812,14 @@ CHECKS = (
 )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SWLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_suite(cfg: SuiteConfig) -> list[SuiteOutcome]:
     """Run every check over the configuration grid; outcomes come back in
-    registry order, then (p, f) order, independent of worker count."""
-    tasks = [
-        (fn, Params(p, f))
-        for _name, fn in CHECKS
-        for p in cfg.p_list
-        for f in cfg.f_list
-    ]
-    workers = _worker_count()
-    if workers == 1:
-        batches = [fn(params, cfg) for fn, params in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fn, params, cfg) for fn, params in tasks]
-            batches = [fut.result() for fut in futures]
+    registry order, then (p, f) order."""
     out: list[SuiteOutcome] = []
-    for batch in batches:
-        out.extend(batch)
+    for _name, fn in CHECKS:
+        for p in cfg.p_list:
+            for f in cfg.f_list:
+                out.extend(fn(Params(p, f), cfg))
     return out
 
 

@@ -8,7 +8,6 @@ signed hypercube of graph points {sum of sign_i omega^(i) over i in J}.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import graph, lattice
@@ -100,21 +99,18 @@ def hypercube_point(signs: SignedSet, label: int) -> LambdaWElement:
     )
 
 
-def _class_set(f: int, signs: SignedSet, classify) -> set[SerreWeightClass]:
-    """Classes of the 2^f signed hypercube points, evaluated in label order.
-    A collision would contradict graph injectivity."""
-    classes = {classify(hypercube_point(signs, label)) for label in range(1 << f)}
+def w_question(t: TameParam) -> tuple[SerreWeightClass, ...]:
+    """The predicted weight set: classes of the 2^f signed hypercube points,
+    returned sorted.  A collision would contradict graph injectivity."""
+    f = t.params.f
+    signs = s_w(t.w)
+    classes = {
+        graph.t_mu(t.params, t.mu, hypercube_point(signs, label)) for label in range(1 << f)
+    }
     if len(classes) != 1 << f:
         raise CardinalityError(
             f"predicted weight set has {len(classes)} elements, expected {1 << f}"
         )
-    return classes
-
-
-def w_question(t: TameParam) -> tuple[SerreWeightClass, ...]:
-    """The predicted weight set: classes of the 2^f signed hypercube points,
-    returned sorted."""
-    classes = _class_set(t.params.f, s_w(t.w), lambda point: graph.t_mu(t.params, t.mu, point))
     return tuple(sorted(classes))
 
 
@@ -127,7 +123,9 @@ def jh_dl_reduction(t: TameParam) -> tuple[SerreWeightClass, ...]:
 @dataclass(frozen=True)
 class Presentation:
     """One recentred presentation of the parameter: the weight attached to a
-    hypercube label together with the Weyl element reproducing the set."""
+    hypercube label together with the Weyl element reproducing the set,
+    w_sigma_i = w_i xor J_i xor J_(i+1) for the label mask J (checked against
+    the candidate search _search_per_candidate in tests/test_weights.py)."""
 
     label: int
     sigma: SerreWeightClass
@@ -136,42 +134,34 @@ class Presentation:
 
 
 def _presentation(t: TameParam, target: frozenset, label: int) -> Presentation:
-    """The recentred presentation at one hypercube label.  The unique Weyl
-    element whose parameter at the recentred weight reproduces the target
-    set is found by exhaustive search over all 2^f candidates; zero or
-    multiple matches flag a model violation.
+    """The recentred presentation at one hypercube label, in closed form:
+    w_sigma = w . (Weyl part of the alcove stabiliser of the label mask J)
+    . (sign flips on J), that is w_sigma_i = w_i xor J_i xor J_(i+1).  The
+    label mask is the parity support of its hypercube point, so
+    omega_element owns the Frobenius rotation.
 
-    The candidates' hypercubes over the recentred weight share their points,
-    at most 3^f of them, so each point is classified once per call.
+    The parameter (w_sigma, lambda) must reproduce the target set; if it
+    does not, or lambda is not 1-deep, the model is violated.  Two Weyl
+    elements reproduce one set only if t_mu collides on the hypercube box,
+    which graph injectivity excludes.  tests/test_weights.py keeps the
+    exhaustive 2^f-candidate search as the oracle for this form.
     """
     params = t.params
     x = graph.t_mu_raw(params, t.mu, hypercube_point(s_w(t.w), label))
     sigma = lattice.serre_class(params, x)
     lam = x + eta(params.f)
-    memo: dict[tuple[int, ...], SerreWeightClass] = {}
-
-    def classify(point: LambdaWElement) -> SerreWeightClass:
-        if point.coeffs not in memo:
-            memo[point.coeffs] = graph.t_mu(params, lam, point)
-        return memo[point.coeffs]
-
-    matches = []
-    for flags in itertools.product((False, True), repeat=params.f):
-        try:
-            cand = TameParam(WeylElement(flags), lam, params)
-        except PreconditionViolation:
-            # the recentred weight is not 1-deep: no candidate over it
-            # can be formed, and if this happens for every flag vector
-            # the parameter pair was not generic
-            continue
-        if _class_set(params.f, s_w(cand.w), classify) == target:
-            matches.append(cand.w)
-    if len(matches) != 1:
+    flips = WeylElement(tuple(bool(label >> i & 1) for i in range(params.f)))
+    w_sigma = t.w * graph.omega_element(params, label).element.weyl * flips
+    try:
+        cand = TameParam(w_sigma, lam, params)
+    except PreconditionViolation:
+        cand = None  # lambda is not 1-deep: the parameter pair was not generic
+    if cand is None or frozenset(w_question(cand)) != target:
         raise PresentationError(
-            f"label {label:#b}: {len(matches)} Weyl candidates reproduce the weight "
+            f"label {label:#b}: 0 Weyl candidates reproduce the weight "
             f"set; recentred weight has pairings {lam.pairings()}"
         )
-    return Presentation(label, sigma, lam, matches[0])
+    return Presentation(label, sigma, lam, w_sigma)
 
 
 def presentation(t: TameParam, label: int) -> Presentation:

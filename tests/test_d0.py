@@ -61,7 +61,6 @@ def test_d0_sigma_matches_full_blocks():
 
 def test_d0_full_f1_irreducible():
     rep = d0_full(t_irred())
-    assert rep.multiplicity_free
     assert len(rep.blocks) == 2
     assert all(len(b.constituents) == 2 for b in rep.blocks)
     assert set(rep.all_constituents) == {
@@ -166,12 +165,7 @@ def _synthetic_report(duplicate_in_radical: bool) -> D0Report:
         ),
         cosocle=sigma_b,
     )
-    return D0Report(
-        param=t_irred(),
-        blocks=(block_a, block_b),
-        all_constituents=(),
-        multiplicity_free=not duplicate_in_radical,
-    )
+    return D0Report(param=t_irred(), blocks=(block_a, block_b), all_constituents=())
 
 
 def test_radical_disjointness_negative_fixture():
@@ -185,7 +179,7 @@ def test_upperbound_negative_fixture():
 
 
 def test_upperbound_empty_report():
-    empty = D0Report(param=t_irred(), blocks=(), all_constituents=(), multiplicity_free=True)
+    empty = D0Report(param=t_irred(), blocks=(), all_constituents=())
     assert upperbound_consistency(empty)
     assert radical_disjointness_check(empty)
 
@@ -194,7 +188,6 @@ def test_d0_f2_nonsplit_sixteen():
     # the all-swap parameter at pairings (3,3): sixteen distinct constituents
     t = TameParam(WeylElement((True, True)), Weight(((3, 0), (3, 0))), P72)
     rep = d0_full(t)
-    assert rep.multiplicity_free
     assert len(set(rep.all_constituents)) == 16
     assert radical_disjointness_check(rep)
     assert upperbound_consistency(rep)

@@ -183,7 +183,7 @@ def test_serre_class_values():
 def test_serre_class_orbit_invariance(r, b, m):
     w = Weight(tuple((ri + bi, bi) for ri, bi in zip(r, b)))
     shift = tuple(5 * m[i] - m[(i - 1) % 2] for i in range(2))
-    w2 = w + central_shift_vector(2, shift)
+    w2 = w + central_shift_vector(shift)
     assert serre_class(P52, w) == serre_class(P52, w2)
 
 

@@ -24,13 +24,6 @@ def test_suite_deterministic():
     assert format_outcomes(first) == format_outcomes(second)
 
 
-def test_suite_threaded_matches_serial(monkeypatch):
-    serial = run_suite(FAST)
-    monkeypatch.setenv("SWLAB_THREADS", "4")
-    threaded = run_suite(FAST)
-    assert serial == threaded
-
-
 def test_format_outcomes_table():
     out = format_outcomes(run_suite(SuiteConfig(p_list=(5,), f_list=(1,), cases=50)))
     assert out.splitlines()[0].startswith("check")

@@ -149,8 +149,8 @@ def test_presentations_requires_generic():
 
 
 def _search_per_candidate(t):
-    """Presentations by calling w_question once per candidate, the
-    reference form of the search."""
+    """Presentations by exhaustive search over the 2^f Weyl candidates,
+    calling w_question once per candidate: the oracle for the closed form."""
     target = w_question(t)
     out = []
     for label, point_lam in enumerate(presentation_weights(t)):
@@ -170,7 +170,7 @@ def _search_per_candidate(t):
 
 def test_presentations_match_per_candidate_search():
     checked = 0
-    for f in (1, 2):
+    for f in (1, 2, 3):
         params = Params(7, f)
         for pairings in itertools.product(range(2, 6), repeat=f):
             mu = Weight(tuple((m, 0) for m in pairings))
