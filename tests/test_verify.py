@@ -1,8 +1,16 @@
+import hashlib
+
+import pytest
+
 import swlab.lattice as lattice
+from swlab import cli, verify
+from swlab.errors import NotRegular
 from swlab.lattice import ExtAffineElement, Params
 from swlab.verify import (
     SuiteConfig,
     check_graph_injectivity,
+    check_graph_symmetry,
+    check_herzig_bijection,
     format_outcomes,
     run_suite,
 )
@@ -44,12 +52,13 @@ def test_fault_injection_breaks_injectivity(monkeypatch):
     params = Params(7, 1)
     cfg = SuiteConfig(p_list=(7,), f_list=(1,))
     good = check_graph_injectivity(params, cfg)
-    assert good[0].passed
+    assert good[0].status == "pass"
 
     monkeypatch.setattr(lattice, "p_dot", _flipped_p_dot(lattice.p_dot))
     bad = check_graph_injectivity(params, cfg)
     assert not bad[0].passed
     assert bad[0].counterexample is not None
+    assert 1 <= bad[0].cases <= good[0].cases
 
 
 def test_fault_injection_counterexample_is_stable(monkeypatch):
@@ -59,3 +68,92 @@ def test_fault_injection_counterexample_is_stable(monkeypatch):
     first = check_graph_injectivity(params, cfg)
     second = check_graph_injectivity(params, cfg)
     assert first == second
+
+
+# the sweeps of these checks hold no parameter at p=5 f=1: none is 1-generic
+EMPTY_AT_P5_F1 = [
+    "wq_cardinality",
+    "wq_genericity",
+    "jh_roundtrip",
+    "presentations_valid",
+    "d0_multiplicity_one",
+    "d0_presentation_independence",
+    "d0_central_twist",
+]
+
+
+def test_empty_rows_are_reported_not_failed(capsys):
+    outcomes = run_suite(SuiteConfig(p_list=(5,), f_list=(1,), cases=50))
+    assert [o.name for o in outcomes if o.status == "empty"] == EMPTY_AT_P5_F1
+    assert all(o.cases > 0 for o in outcomes if o.status != "empty")
+
+    assert cli.main(["verify", "--p", "5", "--f", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [r.split()[0] for r in rows if r.split()[3] == "empty"] == EMPTY_AT_P5_F1
+    assert rows[-1] == f"all {len(outcomes)} checks passed"
+
+
+def test_case_counts_match_the_sweeps():
+    outcomes = run_suite(SuiteConfig(p_list=(5,), f_list=(2,), cases=50))
+    counts = {o.name: o.cases for o in outcomes}
+    assert counts["p_dot_action"] == 50  # one per sampled draw
+    assert counts["frobenius_order"] == 200  # a fixed sample size
+    assert counts["omega_uniqueness"] == 4  # one per mask
+    assert counts["graph_injectivity"] == 4  # one per 1-deep pairing vector
+    assert counts["wq_cardinality"] == 8  # one per 1-generic parameter
+    assert counts["d0_multiplicity_one"] == 2  # one per feasible parameter
+
+
+def test_check_outside_its_predicate_gives_no_row():
+    cfg = SuiteConfig(p_list=(5,), f_list=(1,), cases=50)
+    assert check_graph_symmetry(Params(5, 1), cfg) == []
+    assert check_graph_symmetry(Params(7, 1), cfg)[0].status == "pass"
+    assert "graph_symmetry" not in {o.name for o in run_suite(cfg)}
+
+
+def test_model_error_in_a_case_is_its_counterexample(monkeypatch):
+    def broken(params, c):
+        raise NotRegular(f"class {c}")
+
+    monkeypatch.setattr(lattice, "herzig_reflect", broken)
+    (outcome,) = check_herzig_bijection(Params(5, 1), SuiteConfig(cases=50))
+    assert outcome.status == "FAIL"
+    assert outcome.cases == 1
+    assert outcome.counterexample == "NotRegular: class SerreWeightClass(r=(0,), d=0)"
+
+    monkeypatch.setattr(lattice, "herzig_reflect", lambda params, c: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        check_herzig_bijection(Params(5, 1), SuiteConfig(cases=50))
+
+
+def test_run_suite_reads_the_registry(monkeypatch):
+    # the perfbench tracer times each check by replacing verify.CHECKS
+    seen = []
+
+    def spy(name, fn):
+        def wrapped(params, cfg):
+            seen.append(name)
+            return fn(params, cfg)
+
+        return wrapped
+
+    names = [name for name, _ in verify.CHECKS]
+    assert names == [fn.__name__.removeprefix("check_") for _, fn in verify.CHECKS]
+    assert len(set(names)) == len(names) == 28
+    monkeypatch.setattr(verify, "CHECKS", tuple((n, spy(n, fn)) for n, fn in verify.CHECKS))
+    run_suite(SuiteConfig(p_list=(5,), f_list=(1,), cases=10))
+    assert seen == names
+
+
+# SHA-256 of the stdout of `swlab verify --p 7 --f 1,2 --cases 300`, recorded
+# from the table the hand-written checks printed before they became case
+# generators.  That grid has no empty row, so any change to a row's name,
+# order, status or counterexample shows here.
+GOLDEN_P7_TABLE = "17785413e7c81093c086e439f34092b87e08ce098674b93f1e77959f0faaf50d"
+
+
+def test_verify_table_matches_golden_digest(capsys):
+    assert cli.main(["verify", "--p", "7", "--f", "1,2", "--cases", "300"]) == 0
+    out = capsys.readouterr().out
+    assert "empty" not in out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_P7_TABLE
