@@ -16,6 +16,7 @@ report carries it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -89,7 +90,10 @@ class MultiIndex:
         return sum(self.k)
 
     def leq(self, other: "MultiIndex") -> bool:
-        return all(a <= b for a, b in zip(self.k, other.k))
+        for a, b in zip(self.k, other.k):
+            if a > b:
+                return False
+        return True
 
 
 def k_of(J: JSet) -> MultiIndex:
@@ -122,7 +126,7 @@ def _check_depth(params: Params, mu: Weight) -> None:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class GradedReport:
     """Constituents grouped by filtration index, with dimensions."""
 
@@ -155,17 +159,21 @@ def graded_pieces(params: Params, mu: Weight) -> GradedReport:
 
 def fil_meet(k1: MultiIndex, k2: MultiIndex) -> MultiIndex:
     """Index of the intersection of two filtration pieces: componentwise max."""
-    return MultiIndex(tuple(max(a, b) for a, b in zip(k1.k, k2.k)))
+    return MultiIndex(tuple(map(max, k1.k, k2.k)))
+
+
+@functools.cache
+def _up_sets(f: int) -> dict[MultiIndex, frozenset[MultiIndex]]:
+    """Every index of {0,1,2}^f mapped to the indices above it."""
+    points = [MultiIndex(k) for k in itertools.product((0, 1, 2), repeat=f)]
+    return {b: frozenset(k for k in points if b.leq(k)) for b in points}
 
 
 def upward_closure(indices, f: int) -> frozenset[MultiIndex]:
-    base = set(indices)
-    return frozenset(
-        k
-        for ktuple in itertools.product((0, 1, 2), repeat=f)
-        for k in (MultiIndex(ktuple),)
-        if any(b.leq(k) for b in base)
-    )
+    """All indices of {0,1,2}^f above some given index, which must itself
+    lie in {0,1,2}^f."""
+    up = _up_sets(f)
+    return frozenset().union(*(up[b] for b in indices))
 
 
 def fil_index_intersect(I1, I2) -> frozenset[MultiIndex]:
@@ -256,7 +264,7 @@ def vbar_layers(params: Params, mu: Weight, J: JSet) -> VbarLayers:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubmoduleLabel:
     """Label data of the submodule generated by the constituent at J: the
     adopted exact model takes the superset labels as its constituents."""

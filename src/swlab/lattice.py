@@ -82,13 +82,13 @@ class Weight:
         return Weight(tuple((k * a, k * b) for a, b in self.coords))
 
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple((a + c, b + d) for (a, b), (c, d) in zip(self.coords, other.coords)))
+        return Weight(tuple([(a + c, b + d) for (a, b), (c, d) in zip(self.coords, other.coords)]))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple((a - c, b - d) for (a, b), (c, d) in zip(self.coords, other.coords)))
+        return Weight(tuple([(a - c, b - d) for (a, b), (c, d) in zip(self.coords, other.coords)]))
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple((-a, -b) for a, b in self.coords))
+        return Weight(tuple([(-a, -b) for a, b in self.coords]))
 
 
 @functools.cache
@@ -146,10 +146,10 @@ class WeylElement:
         return WeylElement((True,) * f)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(tuple(a ^ b for a, b in zip(self.flags, other.flags)))
+        return WeylElement(tuple([a ^ b for a, b in zip(self.flags, other.flags)]))
 
     def act(self, w: Weight) -> Weight:
-        return Weight(tuple((b, a) if s else (a, b) for s, (a, b) in zip(self.flags, w.coords)))
+        return Weight(tuple([(b, a) if s else (a, b) for s, (a, b) in zip(self.flags, w.coords)]))
 
     def act_lambda(self, v: LambdaWElement) -> LambdaWElement:
         return LambdaWElement(tuple(-c if s else c for s, c in zip(self.flags, v.coeffs)))
@@ -179,19 +179,23 @@ class ExtAffineElement:
         return ExtAffineElement(w.act(nu), w)
 
     def __mul__(self, other: "ExtAffineElement") -> "ExtAffineElement":
-        # (t_a v)(t_b w) = t_{a + v(b)} (vw)
-        return ExtAffineElement(
-            self.translation + self.weyl.act(other.translation),
-            self.weyl * other.weyl,
-        )
+        # (t_a v)(t_b w) = t_{a + v(b)} (vw), and a + v(b) is the affine image of b
+        return ExtAffineElement(self.act(other.translation), self.weyl * other.weyl)
 
     def inverse(self) -> "ExtAffineElement":
-        # components of W are involutions, so w^-1 = w
-        return ExtAffineElement(self.weyl.act(-self.translation), self.weyl)
+        # components of W are involutions, so w^-1 = w and the translation is w(-a)
+        pairs = zip(self.translation.coords, self.weyl.flags)
+        return ExtAffineElement(
+            Weight(tuple([(-b, -a) if s else (-a, -b) for (a, b), s in pairs])), self.weyl
+        )
 
     def act(self, x: Weight) -> Weight:
-        """Ordinary affine action, translations unscaled."""
-        return self.translation + self.weyl.act(x)
+        """Ordinary affine action, translations unscaled: a + w(x), where w
+        swaps the pair of x at each flagged coordinate."""
+        triples = zip(self.translation.coords, self.weyl.flags, x.coords)
+        return Weight(
+            tuple([(a + d, b + c) if s else (a + c, b + d) for (a, b), s, (c, d) in triples])
+        )
 
 
 def p_dot(params: Params, g: ExtAffineElement, w: Weight) -> Weight:
@@ -343,12 +347,15 @@ def in_p_minus_pi_central(params: Params, coefficients: tuple[int, ...]) -> bool
     """Whether a central vector sum c_i (1,1)^(i) lies in (p - pi)X0(T).
 
     Solves (p - pi)m = c exactly: m = (sum_j p^(f-1-j) shift^j c) / (p^f - 1),
-    integral in every entry iff c is in the sublattice.
+    integral in every entry iff c is in the sublattice.  Each numerator is
+    evaluated by Horner's rule, c_i first.
     """
     p, f, q = params.p, params.f, params.q
     for i in range(f):
-        num = sum(p ** (f - 1 - j) * coefficients[(i - j) % f] for j in range(f))
-        if num % (q - 1) != 0:
+        num = 0
+        for j in range(f):
+            num = num * p + coefficients[(i - j) % f]
+        if num % (q - 1):
             return False
     return True
 

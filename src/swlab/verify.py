@@ -169,13 +169,13 @@ def feasible_generic_params(params: Params):
 
 
 def _rand_weight(rng: random.Random, f: int, lo: int = -6, hi: int = 6) -> Weight:
-    return Weight(tuple((rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(f)))
+    return Weight(tuple([(rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(f)]))
 
 
 def _rand_ext(rng: random.Random, f: int) -> ExtAffineElement:
     return ExtAffineElement(
         _rand_weight(rng, f, -4, 4),
-        WeylElement(tuple(rng.randint(0, 1) == 1 for _ in range(f))),
+        WeylElement(tuple([rng.randint(0, 1) == 1 for _ in range(f)])),
     )
 
 

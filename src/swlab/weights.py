@@ -117,7 +117,11 @@ def w_question(t: TameParam) -> tuple[SerreWeightClass, ...]:
 def jh_dl_reduction(t: TameParam) -> tuple[SerreWeightClass, ...]:
     """Constituents of the Deligne-Lusztig reduction, recovered by applying
     the inverse reflection to every predicted weight."""
-    return tuple(sorted(lattice.herzig_reflect_inv(t.params, c) for c in w_question(t)))
+    return _reflect_all(t.params, w_question(t))
+
+
+def _reflect_all(params: Params, predicted) -> tuple[SerreWeightClass, ...]:
+    return tuple(sorted(lattice.herzig_reflect_inv(params, c) for c in predicted))
 
 
 @dataclass(frozen=True)
@@ -183,11 +187,14 @@ def presentations(t: TameParam) -> tuple[Presentation, ...]:
 
 def weights_report(t: TameParam) -> dict:
     pres = presentations(t)
+    # the presentations carry the 2^f hypercube classes, so their sorted
+    # classes are w_question(t); presentations has checked their count
+    predicted = sorted(p.sigma for p in pres)
     return {
         "param": {"w": lattice.weyl_to_str(t.w), "mu": lattice.weight_to_str(t.mu)},
         "one_generic": is_one_generic(t),
-        "w_question": [lattice.class_to_json(c) for c in w_question(t)],
-        "jh_dl": [lattice.class_to_json(c) for c in jh_dl_reduction(t)],
+        "w_question": [lattice.class_to_json(c) for c in predicted],
+        "jh_dl": [lattice.class_to_json(c) for c in _reflect_all(t.params, predicted)],
         "presentations": [
             {
                 "label": [i for i in range(t.params.f) if p.label >> i & 1],

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -86,6 +87,48 @@ def test_fil_meet():
 
 def _closure(indices, f):
     return upward_closure(indices, f)
+
+
+def _closure_by_filter(indices, f):
+    """Brute-force upward closure on plain tuples."""
+    return {
+        k
+        for k in itertools.product((0, 1, 2), repeat=f)
+        if any(all(a <= b for a, b in zip(i, k)) for i in indices)
+    }
+
+
+def _is_antichain(indices):
+    return not any(
+        i != k and all(a <= b for a, b in zip(i, k)) for i in indices for k in indices
+    )
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_upward_closure_every_antichain(f):
+    points = list(itertools.product((0, 1, 2), repeat=f))
+    antichains = [
+        chosen
+        for n in range(len(points) + 1)
+        for chosen in itertools.combinations(points, n)
+        if _is_antichain(chosen)
+    ]
+    assert len(antichains) == {1: 4, 2: 20}[f]
+    for chosen in antichains:
+        got = upward_closure([MultiIndex(k) for k in chosen], f)
+        assert {k.k for k in got} == _closure_by_filter(chosen, f)
+
+
+def test_upward_closure_seeded_sets_f3():
+    rng = random.Random(3)
+    points = list(itertools.product((0, 1, 2), repeat=3))
+    for _ in range(500):
+        chosen = [k for k in points if rng.random() < 0.2]
+        got = upward_closure([MultiIndex(k) for k in chosen], 3)
+        assert {k.k for k in got} == _closure_by_filter(chosen, 3)
+        for i in chosen:
+            for k in points:
+                assert MultiIndex(i).leq(MultiIndex(k)) == all(a <= b for a, b in zip(i, k))
 
 
 def test_fil_index_intersect_small():

@@ -113,6 +113,45 @@ def test_ext_affine_group_law(g, h, k):
     assert g.inverse() * g == ident
 
 
+def _swap_at(flags, pairs):
+    return tuple((b, a) if s else (a, b) for s, (a, b) in zip(flags, pairs))
+
+
+def _add(u, v):
+    return tuple((a + c, b + d) for (a, b), (c, d) in zip(u, v))
+
+
+def _rand_plain(rng, f):
+    """A group element as plain tuples: (translation pairs, Weyl flags)."""
+    translation = tuple((rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(f))
+    return translation, tuple(rng.random() < 0.5 for _ in range(f))
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 4])
+def test_group_law_matches_plain_tuple_formulas(f):
+    """Reference forms on plain tuples: (t_a v)(t_b w) = t_{a + v(b)} (vw),
+    (t_a v)^-1 = t_{-v(a)} v, and t_a v sends x to a + v(x)."""
+    rng = random.Random(f)
+    for _ in range(300):
+        (a, v), (b, w) = _rand_plain(rng, f), _rand_plain(rng, f)
+        x = tuple((rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(f))
+        g = ExtAffineElement(Weight(a), WeylElement(v))
+        h = ExtAffineElement(Weight(b), WeylElement(w))
+        gh = g * h
+        assert gh.translation.coords == _add(a, _swap_at(v, b))
+        assert gh.weyl.flags == tuple(s != t for s, t in zip(v, w))
+        inv = g.inverse()
+        assert inv.translation.coords == _swap_at(v, tuple((-c, -d) for c, d in a))
+        assert inv.weyl.flags == v
+        assert g.act(Weight(x)).coords == _add(a, _swap_at(v, x))
+        assert WeylElement(v).act(Weight(x)).coords == _swap_at(v, x)
+        assert (Weight(a) + Weight(x)).coords == _add(a, x)
+        assert (Weight(a) - Weight(x)).coords == tuple(
+            (c - e, d - k) for (c, d), (e, k) in zip(a, x)
+        )
+        assert (-Weight(a)).coords == tuple((-c, -d) for c, d in a)
+
+
 def composed_p_dot(params, g, w):
     """The p-dot action as composed Weight arithmetic, the reference form."""
     e = eta(w.f)
@@ -206,6 +245,28 @@ def test_in_p_minus_pi_central():
     # (p - pi) applied to m = (1, 0): (5*1 - 0, 0 - 1)
     assert in_p_minus_pi_central(P52, (5, -1))
     assert not in_p_minus_pi_central(P52, (1, 0))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_in_p_minus_pi_central_matches_sum_of_powers(p):
+    rng = random.Random(p)
+    for f in range(1, 5):
+        params, q = Params(p, f), p**f
+        seen = set()
+        for _ in range(200):
+            if rng.random() < 0.5:
+                # (p - pi)m lies in the sublattice by construction
+                m = [rng.randint(-9, 9) for _ in range(f)]
+                c = tuple(p * m[i] - m[(i - 1) % f] for i in range(f))
+            else:
+                c = tuple(rng.randint(-3 * q, 3 * q) for _ in range(f))
+            expected = all(
+                sum(p ** (f - 1 - j) * c[(i - j) % f] for j in range(f)) % (q - 1) == 0
+                for i in range(f)
+            )
+            assert in_p_minus_pi_central(params, c) == expected, (p, f, c)
+            seen.add(expected)
+        assert seen == {True, False}
 
 
 def test_dim_serre():
