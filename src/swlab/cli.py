@@ -82,15 +82,21 @@ def _cmd_graph(args) -> int:
     return 0
 
 
-def _cmd_weights(args) -> int:
+def _generic_param(args) -> weights.TameParam:
+    """The tame parameter (w, mu) of the arguments, which must be 1-generic
+    and 1-deep at every recentred presentation."""
     params, mu = _parse_context(args)
     w = lattice.weyl_from_str(args.w, args.f)
     t = weights.TameParam(w, mu, params)
     if not weights.is_one_generic(t):
-        return _fail_input("not 1-generic")
+        raise PreconditionViolation("not 1-generic")
     if not weights.presentations_feasible(t):
-        return _fail_input("not 1-deep at every recentred presentation")
-    _emit(weights.weights_report(t))
+        raise PreconditionViolation("not 1-deep at every recentred presentation")
+    return t
+
+
+def _cmd_weights(args) -> int:
+    _emit(weights.weights_report(_generic_param(args)))
     return 0
 
 
@@ -101,13 +107,7 @@ def _cmd_envelope(args) -> int:
 
 
 def _cmd_d0(args) -> int:
-    params, mu = _parse_context(args)
-    w = lattice.weyl_from_str(args.w, args.f)
-    t = weights.TameParam(w, mu, params)
-    if not weights.is_one_generic(t):
-        return _fail_input("not 1-generic")
-    if not weights.presentations_feasible(t):
-        return _fail_input("not 1-deep at every recentred presentation")
+    t = _generic_param(args)
     try:
         rep = d0_mod.d0_full(t)
     except (MultiplicityError, PresentationError) as exc:

@@ -154,9 +154,6 @@ class WeylElement:
     def act_lambda(self, v: LambdaWElement) -> LambdaWElement:
         return LambdaWElement(tuple(-c if s else c for s, c in zip(self.flags, v.coeffs)))
 
-    def is_identity(self) -> bool:
-        return not any(self.flags)
-
 
 @dataclass(frozen=True)
 class ExtAffineElement:

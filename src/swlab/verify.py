@@ -25,6 +25,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -168,14 +169,30 @@ def feasible_generic_params(params: Params):
             yield t
 
 
+def _draws(rng: random.Random, lo: int, hi: int, n: int) -> list[int]:
+    """What n calls of ``rng.randint(lo, hi)`` return, consuming the same words
+    of the stream.  randint draws k = size.bit_length() bits per try and
+    rejects values >= size (``_randbelow_with_getrandbits`` on Python 3.10 to
+    3.12); this loop does the same without randint's layers of calls."""
+    size = hi - lo + 1
+    k = size.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    while len(out) < n:
+        r = getrandbits(k)
+        if r < size:
+            out.append(lo + r)
+    return out
+
+
 def _rand_weight(rng: random.Random, f: int, lo: int = -6, hi: int = 6) -> Weight:
-    return Weight(tuple([(rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(f)]))
+    v = _draws(rng, lo, hi, 2 * f)
+    return Weight(tuple(zip(v[::2], v[1::2])))
 
 
 def _rand_ext(rng: random.Random, f: int) -> ExtAffineElement:
     return ExtAffineElement(
-        _rand_weight(rng, f, -4, 4),
-        WeylElement(tuple([rng.randint(0, 1) == 1 for _ in range(f)])),
+        _rand_weight(rng, f, -4, 4), WeylElement(tuple(map(bool, _draws(rng, 0, 1, f))))
     )
 
 
@@ -204,12 +221,14 @@ def check_ext_affine_group(params: Params, cfg: SuiteConfig) -> Cases:
     ident = ExtAffineElement.identity(params.f)
     for _ in range(min(cfg.cases, 1000)):
         g, h, k = (_rand_ext(rng, params.f) for _ in range(3))
-        if (g * h) * k != g * (h * k):
+        gh = g * h
+        if gh * k != g * (h * k):
             yield f"associativity: {g}, {h}, {k}"
-        if g * g.inverse() != ident or g.inverse() * g != ident:
+        g_inv = g.inverse()
+        if g * g_inv != ident or g_inv * g != ident:
             yield f"inverse: {g}"
         x = _rand_weight(rng, params.f)
-        yield None if (g * h).act(x) == g.act(h.act(x)) else f"action: {g}, {h}, {x.coords}"
+        yield None if gh.act(x) == g.act(h.act(x)) else f"action: {g}, {h}, {x.coords}"
 
 
 @check()
@@ -233,10 +252,10 @@ def check_serre_class_orbit(params: Params, cfg: SuiteConfig) -> Cases:
     rng = _rng(cfg, params, 4)
     p, f = params.p, params.f
     for _ in range(min(cfg.cases, 500)):
-        r = [rng.randint(0, p - 1) for _ in range(f)]
-        b = [rng.randint(-8, 8) for _ in range(f)]
+        r = _draws(rng, 0, p - 1, f)
+        b = _draws(rng, -8, 8, f)
         w = Weight(tuple((ri + bi, bi) for ri, bi in zip(r, b)))
-        m = [rng.randint(-3, 3) for _ in range(f)]
+        m = _draws(rng, -3, 3, f)
         shift = tuple(p * m[i] - m[(i - 1) % f] for i in range(f))
         w2 = w + lattice.central_shift_vector(shift)
         same = lattice.serre_class(params, w) == lattice.serre_class(params, w2)
@@ -247,15 +266,20 @@ def check_serre_class_orbit(params: Params, cfg: SuiteConfig) -> Cases:
 def check_serre_class_injective(params: Params, cfg: SuiteConfig) -> Cases:
     """Equal classes force congruence mod (p - pi)X0(T); exhaustive at p=5."""
     p, f = params.p, params.f
+    bs = list(itertools.product(range(p), repeat=f))
+    # congruence of b1 and b2 does not depend on r: one test per pair
+    congruent = [
+        lattice.in_p_minus_pi_central(params, tuple(x - y for x, y in zip(b1, b2)))
+        for b1, b2 in itertools.combinations(bs, 2)
+    ]
     for r in itertools.product(range(p), repeat=f):
-        entries = []
-        for b in itertools.product(range(p), repeat=f):
-            w = Weight(tuple((ri + bi, bi) for ri, bi in zip(r, b)))
-            entries.append((b, lattice.serre_class(params, w)))
-        for (b1, c1), (b2, c2) in itertools.combinations(entries, 2):
-            diff = tuple(x - y for x, y in zip(b1, b2))
-            congruent = lattice.in_p_minus_pi_central(params, diff)
-            yield None if (c1 == c2) == congruent else f"r={r}, b1={b1}, b2={b2}"
+        entries = [
+            (b, lattice.serre_class(params, Weight(tuple((ri + bi, bi) for ri, bi in zip(r, b)))))
+            for b in bs
+        ]
+        pairs = itertools.combinations(entries, 2)
+        for ((b1, c1), (b2, c2)), same in zip(pairs, congruent):
+            yield None if (c1 == c2) == same else f"r={r}, b1={b1}, b2={b2}"
 
 
 @check()
@@ -502,22 +526,19 @@ def check_graded_multiplicity_free(params: Params, cfg: SuiteConfig) -> Cases:
         except MultiplicityError as exc:
             yield f"pairings {v}: {exc}"
         class_of = {J: c for entries in rep.by_index.values() for J, c in entries}
+        index_of = {J: envelope.k_of(J) for J in class_of}
         for k in rep.by_index:
             succ = [
                 (J, c)
                 for J, c in class_of.items()
-                for kj in (envelope.k_of(J),)
-                if k.leq(kj) and kj.total() == k.total() + 1
+                if k.leq(index_of[J]) and index_of[J].total() == k.total() + 1
             ]
             seen = {}
             for J, c in succ:
                 if c in seen:
                     yield f"pairings {v}: k={k.k}, {seen[c]} and {J}"
                 seen[c] = J
-        counts = {}
-        for J in class_of:
-            kk = envelope.k_of(J)
-            counts[kk] = counts.get(kk, 0) + 1
+        counts = Counter(index_of.values())
         for k, n in counts.items():
             if n != 2 ** sum(1 for x in k.k if x == 1):
                 yield f"pairings {v}: count at {k.k} is {n}"
@@ -528,11 +549,12 @@ def check_graded_multiplicity_free(params: Params, cfg: SuiteConfig) -> Cases:
 def check_sigma_iff_omega(params: Params, cfg: SuiteConfig) -> Cases:
     """Constituent classes agree exactly when their lattice points agree."""
     labels = envelope.all_jsets(params.f)
+    omega = {J: J.omega() for J in labels}
     for v in pairing_vectors(params, 1):
         mu = mu_of(v)
         cls = {J: envelope.sigma_label(params, mu, J) for J in labels}
         for J1, J2 in itertools.combinations(labels, 2):
-            same = (cls[J1] == cls[J2]) == (J1.omega() == J2.omega())
+            same = (cls[J1] == cls[J2]) == (omega[J1] == omega[J2])
             yield None if same else f"pairings {v}: {J1} vs {J2}"
 
 
@@ -621,7 +643,8 @@ def check_submodule_lattice(params: Params, cfg: SuiteConfig) -> Cases:
         yield None
 
 
-def _antichains(f: int) -> list[frozenset]:
+@functools.cache
+def _antichains(f: int) -> tuple[frozenset, ...]:
     points = [envelope.MultiIndex(k) for k in itertools.product((0, 1, 2), repeat=f)]
     out = [frozenset()]
     for subset_bits in range(1, 1 << len(points)):
@@ -630,7 +653,7 @@ def _antichains(f: int) -> list[frozenset]:
             not (a != b and a.leq(b)) for a in chosen for b in chosen
         ):
             out.append(frozenset(chosen))
-    return out
+    return tuple(out)
 
 
 def _min_prune(indices) -> frozenset:
@@ -669,6 +692,7 @@ def check_hom_span(params: Params, cfg: SuiteConfig) -> Cases:
     """Hom multiplicities count labels with equal lattice points and
     partition the 4^f labels; the base class is hit 2^f times."""
     labels = envelope.all_jsets(params.f)
+    labels_at = Counter(J.omega() for J in labels)
     e = eta(params.f)
     for v in pairing_vectors(params, 1):
         mu = mu_of(v)
@@ -676,9 +700,7 @@ def check_hom_span(params: Params, cfg: SuiteConfig) -> Cases:
         total = 0
         for sigma in sorted(set(cls.values())):
             count, found = envelope.hom_dim(params, mu, sigma)
-            j0 = found[0]
-            expected = sum(1 for J in labels if J.omega() == j0.omega())
-            if count != expected:
+            if count != labels_at[found[0].omega()]:
                 yield f"pairings {v}: class {sigma}"
             total += count
         if total != 4**params.f:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import swlab
 from swlab.cli import main
 
 
@@ -177,6 +182,17 @@ def test_verify_deterministic(capsys):
     code2, out2, _ = run_cli(capsys, "verify", "--p", "5", "--f", "1", "--cases", "100")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_python_dash_m_swlab_runs_the_cli(capsys):
+    argv = ["verify", "--p", "5", "--f", "1"]
+    env = {**os.environ, "PYTHONPATH": str(Path(swlab.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "swlab", *argv], capture_output=True, text=True, env=env
+    )
+    code, out, err = run_cli(capsys, *argv)
+    assert (run.returncode, run.stdout, run.stderr) == (code, out, err)
+    assert code == 0
 
 
 def test_verify_bad_list(capsys):

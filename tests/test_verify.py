@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from swlab.errors import NotRegular
 from swlab.lattice import ExtAffineElement, Params
 from swlab.verify import (
     SuiteConfig,
+    _draws,
     check_graph_injectivity,
     check_graph_symmetry,
     check_herzig_bijection,
@@ -102,6 +104,12 @@ def test_case_counts_match_the_sweeps():
     assert counts["graph_injectivity"] == 4  # one per 1-deep pairing vector
     assert counts["wq_cardinality"] == 8  # one per 1-generic parameter
     assert counts["d0_multiplicity_one"] == 2  # one per feasible parameter
+    assert counts["ext_affine_group"] == 50  # one per sampled draw
+    assert counts["serre_class_orbit"] == 50  # one per sampled draw
+    assert counts["serre_class_injective"] == 7500  # 25 profiles x C(25, 2) pairs
+    assert counts["filtration_lattice"] == 400  # all pairs of the 20 antichains
+    assert counts["sigma_iff_omega"] == 480  # 4 pairing vectors x C(16, 2) labels
+    assert counts["hom_span"] == 4  # one per 1-deep pairing vector
 
 
 def test_check_outside_its_predicate_gives_no_row():
@@ -157,3 +165,95 @@ def test_verify_table_matches_golden_digest(capsys):
     out = capsys.readouterr().out
     assert "empty" not in out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_P7_TABLE
+
+
+# every (lo, hi) that verify draws from (serre_class_orbit's (0, p - 1) at the
+# primes of the default grid and beyond), then ranges of sizes 1, 2, 8, 9, 16
+# and 17, around the powers of two where the rejection rule changes
+DRAW_RANGES = [(-6, 6), (-4, 4), (0, 1), (-8, 8), (-3, 3)]
+DRAW_RANGES += [(0, p - 1) for p in (5, 7, 11, 13)]
+DRAW_RANGES += [(-2, -2 + size - 1) for size in (1, 2, 8, 9, 16, 17)]
+
+
+def test_draws_replay_the_randint_stream():
+    # the checks switch ranges draw by draw, so the state after each call matters
+    for seed in range(120):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for lo, hi in DRAW_RANGES:
+            for n in (1, 2, 4, 7):
+                expected = [ref.randint(lo, hi) for _ in range(n)]
+                assert _draws(rng, lo, hi, n) == expected, (seed, lo, hi, n)
+        assert rng.getstate() == ref.getstate()
+
+
+def _mul_without_weyl_twist(self, other):
+    # (t_a v)(t_b w) read as t_{a + b} (vw): v no longer acts on b
+    return ExtAffineElement(self.translation + other.translation, self.weyl * other.weyl)
+
+
+def _shift_first_coefficient(original):
+    # the central vector moved by (1, 1) at coordinate 0
+    return lambda coefficients: original((coefficients[0] + 1,) + tuple(coefficients[1:]))
+
+
+# The first counterexample of a seeded fault at p=5 f=2 seed 0, recorded
+# before the sampled checks drew through _draws: the draws are the same
+# cases, in the same order, and the exhaustive sweep keeps its pair order.
+SEEDED_FAULTS = [
+    pytest.param(
+        "ext_affine_group",
+        ExtAffineElement,
+        "inverse",
+        lambda original: lambda self: self,
+        1,
+        "inverse: ExtAffineElement(translation=Weight(coords=((1, -4), (3, -1))), "
+        "weyl=WeylElement(flags=(True, True)))",
+        id="inverse-is-self",
+    ),
+    pytest.param(
+        "p_dot_action",
+        ExtAffineElement,
+        "__mul__",
+        lambda original: _mul_without_weyl_twist,
+        1,
+        "g=ExtAffineElement(translation=Weight(coords=((2, 4), (2, 0))), "
+        "weyl=WeylElement(flags=(True, False))), "
+        "h=ExtAffineElement(translation=Weight(coords=((3, 4), (1, 3))), "
+        "weyl=WeylElement(flags=(False, False))), x=((6, 0), (-3, 2))",
+        id="mul-without-twist",
+    ),
+    pytest.param(
+        "serre_class_orbit",
+        lattice,
+        "central_shift_vector",
+        _shift_first_coefficient,
+        1,
+        "w=((7, 6), (1, -2)), shift=(5, -1)",
+        id="central-shift-off-by-one",
+    ),
+    pytest.param(
+        "serre_class_injective",
+        lattice,
+        "in_p_minus_pi_central",
+        lambda original: lambda params, coefficients: not any(coefficients),
+        24,
+        "r=(0, 0), b1=(0, 0), b2=(4, 4)",
+        id="only-zero-congruent",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, target, attr, mutate, cases, counterexample", SEEDED_FAULTS)
+def test_seeded_fault_first_counterexample_is_pinned(
+    monkeypatch, name, target, attr, mutate, cases, counterexample
+):
+    check = dict(verify.CHECKS)[name]
+    params, cfg = Params(5, 2), SuiteConfig(p_list=(5,), f_list=(2,), seed=0)
+    assert check(params, cfg)[0].status == "pass"
+    monkeypatch.setattr(target, attr, mutate(getattr(target, attr)))
+    (outcome,) = check(params, cfg)
+    assert (outcome.status, outcome.cases, outcome.counterexample) == (
+        "FAIL",
+        cases,
+        counterexample,
+    )
