@@ -36,7 +36,6 @@ from .lattice import (
 from .graph import (
     EDecomposition,
     GraphEnumeration,
-    OmegaElement,
     adjacent,
     decompose,
     enumerate_graph,
@@ -49,7 +48,6 @@ from .graph import (
 )
 from .weights import (
     Presentation,
-    SignedSet,
     TameParam,
     is_one_generic,
     is_one_generic_pair,
@@ -72,7 +70,6 @@ from .envelope import (
     hom_dim,
     k_of,
     sigma_label,
-    submodule_leq,
     tensor_translate,
     v_submodule,
     vbar_layers,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import envelope, lattice, weights
-from .errors import MultiplicityError, PreconditionViolation
+from .errors import MultiplicityError
 from .lattice import Params, SerreWeightClass, Weight, WeylElement
 from .weights import Presentation, TameParam
 
@@ -41,7 +41,7 @@ class D0Report:
 
 
 def _block(params: Params, pres: Presentation) -> D0SigmaReport:
-    signs = weights.s_w(pres.w_sigma).signs
+    signs = weights.s_w(pres.w_sigma)
     f = params.f
     constituents = []
     for mask in range(1 << f):
@@ -76,8 +76,6 @@ def d0_full(t: TameParam) -> D0Report:
     """All blocks, with the global multiplicity check.  A repeated class
     anywhere is a model or implementation failure and raises; it is never
     silently accepted."""
-    if not weights.is_one_generic(t):
-        raise PreconditionViolation("parameter is not 1-generic")
     blocks = tuple(_block(t.params, pres) for pres in weights.presentations(t))
     seen: dict[SerreWeightClass, tuple[int, envelope.JSet]] = {}
     for b_idx, block in enumerate(blocks):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import graph, lattice
 from .errors import MultiplicityError, NotRestricted, PreconditionViolation
-from .lattice import LambdaWElement, Params, SerreWeightClass, Weight, dim_serre, eta
+from .lattice import LambdaWElement, Params, SerreWeightClass, Weight, dim_serre
 
 ASSUMPTIONS = ("mu_minus_eta_1_deep", "V_J_exact")
 
@@ -119,13 +119,6 @@ def sigma_label(params: Params, mu: Weight, J: JSet) -> SerreWeightClass:
     return lattice.serre_class(params, x)
 
 
-def _check_depth(params: Params, mu: Weight) -> None:
-    if not lattice.is_deep(params, mu - eta(params.f), 1):
-        raise PreconditionViolation(
-            f"mu - eta must be 1-deep, pairings of mu are {mu.pairings()}"
-        )
-
-
 @dataclass(frozen=True)
 class GradedReport:
     """Constituents grouped by filtration index, with dimensions."""
@@ -137,7 +130,7 @@ class GradedReport:
 def graded_pieces(params: Params, mu: Weight) -> GradedReport:
     """All 4^f constituents grouped by index; a class collision within one
     index would contradict multiplicity-freeness and raises."""
-    _check_depth(params, mu)
+    lattice.require_one_deep(params, mu)
     groups: dict[MultiIndex, list[tuple[JSet, SerreWeightClass]]] = {}
     for J in all_jsets(params.f):
         groups.setdefault(k_of(J), []).append((J, sigma_label(params, mu, J)))
@@ -220,7 +213,7 @@ class ExtensionWitness:
 
 
 def extension_witness(params: Params, mu: Weight, J: JSet, Jp: JSet) -> ExtensionWitness:
-    _check_depth(params, mu)
+    lattice.require_one_deep(params, mu)
     if not (J.issubset(Jp) and Jp.size() == J.size() + 1):
         raise PreconditionViolation(f"{Jp} must extend {J} by exactly one signed element")
     predictor = graph.ext1_dim(params, mu, J.omega(), Jp.omega())
@@ -257,7 +250,7 @@ class VbarLayers:
 
 
 def vbar_layers(params: Params, mu: Weight, J: JSet) -> VbarLayers:
-    _check_depth(params, mu)
+    lattice.require_one_deep(params, mu)
     return VbarLayers(
         (J, sigma_label(params, mu, J)),
         tuple((Jp, sigma_label(params, mu, Jp)) for Jp in J.covers()),
@@ -275,19 +268,14 @@ class SubmoduleLabel:
 
 
 def v_submodule(params: Params, mu: Weight, J: JSet) -> SubmoduleLabel:
-    _check_depth(params, mu)
+    lattice.require_one_deep(params, mu)
     sups = J.supersets()
     return SubmoduleLabel(J, frozenset(sups), {Jp: k_of(Jp) for Jp in sups})
 
 
-def submodule_leq(J1: JSet, J2: JSet) -> bool:
-    """Containment of generated submodules is reverse inclusion of labels."""
-    return J2.issubset(J1)
-
-
 def hom_dim(params: Params, mu: Weight, sigma: SerreWeightClass) -> tuple[int, tuple[JSet, ...]]:
     """Number of labels carrying the given class, with the labels."""
-    _check_depth(params, mu)
+    lattice.require_one_deep(params, mu)
     labels = tuple(
         J for J in all_jsets(params.f) if sigma_label(params, mu, J) == sigma
     )

@@ -226,6 +226,14 @@ def is_deep(params: Params, w: Weight, n: int) -> bool:
     return True
 
 
+def require_one_deep(params: Params, mu: Weight) -> None:
+    """Raise unless mu - eta is 1-deep, the standing hypothesis on mu."""
+    if not is_deep(params, mu - eta(params.f), 1):
+        raise PreconditionViolation(
+            f"mu - eta must be 1-deep, pairings of mu are {mu.pairings()}"
+        )
+
+
 def is_generic_char(params: Params, w: Weight) -> bool:
     """True when 2 <= a_i - b_i <= p-2 at every coordinate."""
     return all(2 <= m <= params.p - 2 for m in w.pairings())
@@ -261,13 +269,19 @@ class SerreWeightClass:
 
 def serre_class(params: Params, w: Weight) -> SerreWeightClass:
     """Class of a p-restricted weight modulo (p - pi)X0(T)."""
-    p, f = params.p, params.f
+    p = params.p
     r = w.pairings()
     for i, m in enumerate(r):
         if not (0 <= m <= p - 1):
             raise NotRestricted(f"pairing {m} at coordinate {i} is outside [0, {p - 1}]")
-    d = sum(w.coords[i][1] * p**i for i in range(f)) % (params.q - 1)
-    return SerreWeightClass(r, d)
+    return SerreWeightClass(r, central_residue(params, w))
+
+
+def central_residue(params: Params, w: Weight) -> int:
+    """The linear form sum(b_i p^i) mod p^f - 1 on any weight; its kernel on
+    the central lattice is exactly (p - pi)X0(T)."""
+    p = params.p
+    return sum(w.coords[i][1] * p**i for i in range(params.f)) % (params.q - 1)
 
 
 def dim_serre(c: SerreWeightClass) -> int:

@@ -33,27 +33,18 @@ class TameParam:
     def __post_init__(self):
         if self.w.f != self.params.f or self.mu.f != self.params.f:
             raise PreconditionViolation("w and mu must have length f")
-        if not lattice.is_deep(self.params, self.mu - eta(self.params.f), 1):
-            raise PreconditionViolation(
-                f"mu - eta must be 1-deep, pairings of mu are {self.mu.pairings()}"
-            )
+        lattice.require_one_deep(self.params, self.mu)
 
 
-@dataclass(frozen=True)
-class SignedSet:
+def s_w(w: WeylElement) -> tuple[int, ...]:
     """The signed set w(S_e), encoded by its sign at each coordinate."""
-
-    signs: tuple[int, ...]
-
-
-def s_w(w: WeylElement) -> SignedSet:
-    return SignedSet(tuple(-1 if s else 1 for s in w.flags))
+    return tuple(-1 if s else 1 for s in w.flags)
 
 
 def _concrete_generic(params: Params, mu: Weight) -> bool:
-    m = mu.pairings()
-    if not all(2 <= x <= params.p - 2 for x in m):
+    if not lattice.is_generic_char(params, mu):
         return False
+    m = mu.pairings()
     return m != (2,) * params.f and m != (params.p - 2,) * params.f
 
 
@@ -92,11 +83,9 @@ def presentations_feasible(t: TameParam) -> bool:
     )
 
 
-def hypercube_point(signs: SignedSet, label: int) -> LambdaWElement:
+def hypercube_point(signs: tuple[int, ...], label: int) -> LambdaWElement:
     """The graph point sum of sign_i omega^(i) over the bits of the label."""
-    return LambdaWElement(
-        tuple(signs.signs[i] if label >> i & 1 else 0 for i in range(len(signs.signs)))
-    )
+    return LambdaWElement(tuple(s if label >> i & 1 else 0 for i, s in enumerate(signs)))
 
 
 def w_question(t: TameParam) -> tuple[SerreWeightClass, ...]:
@@ -127,9 +116,10 @@ def _reflect_all(params: Params, predicted) -> tuple[SerreWeightClass, ...]:
 @dataclass(frozen=True)
 class Presentation:
     """One recentred presentation of the parameter: the weight attached to a
-    hypercube label together with the Weyl element reproducing the set,
-    w_sigma_i = w_i xor J_i xor J_(i+1) for the label mask J (checked against
-    the candidate search _search_per_candidate in tests/test_weights.py)."""
+    hypercube label together with the Weyl element reproducing the set, in
+    the library's closed form w_sigma_i = w_i xor J_i xor J_(i+1) for the
+    label mask J; its oracles are _search_per_candidate in
+    tests/test_weights.py and, for the stabiliser, verify's omega_uniqueness."""
 
     label: int
     sigma: SerreWeightClass
@@ -141,8 +131,9 @@ def _presentation(t: TameParam, target: frozenset, label: int) -> Presentation:
     """The recentred presentation at one hypercube label, in closed form:
     w_sigma = w . (Weyl part of the alcove stabiliser of the label mask J)
     . (sign flips on J), that is w_sigma_i = w_i xor J_i xor J_(i+1).  The
-    label mask is the parity support of its hypercube point, so
-    omega_element owns the Frobenius rotation.
+    label mask is the parity support of its hypercube point, so the closed
+    form omega_element, whose oracle is verify's omega_uniqueness search,
+    owns the Frobenius rotation.
 
     The parameter (w_sigma, lambda) must reproduce the target set; if it
     does not, or lambda is not 1-deep, the model is violated.  Two Weyl
@@ -155,7 +146,7 @@ def _presentation(t: TameParam, target: frozenset, label: int) -> Presentation:
     sigma = lattice.serre_class(params, x)
     lam = x + eta(params.f)
     flips = WeylElement(tuple(bool(label >> i & 1) for i in range(params.f)))
-    w_sigma = t.w * graph.omega_element(params, label).element.weyl * flips
+    w_sigma = t.w * graph.omega_element(params, label).weyl * flips
     try:
         cand = TameParam(w_sigma, lam, params)
     except PreconditionViolation:

@@ -182,9 +182,9 @@ def _block_keeps_own_sign(original):
 def _omega_flags_unrotated(original):
     # Weyl flags read from the mask itself, not from its Frobenius rotation
     def omega_element(params, J):
-        g = original(params, J).element
+        g = original(params, J)
         flags = tuple(bool(J >> i & 1) for i in range(params.f))
-        return graph.OmegaElement(J, ExtAffineElement(g.translation, WeylElement(flags)))
+        return ExtAffineElement(g.translation, WeylElement(flags))
 
     return omega_element
 

@@ -84,7 +84,7 @@ def test_d0_blocks_avoid_signed_set():
 
     t = TameParam(WeylElement((True, False)), Weight(((3, 0), (4, 0))), P72)
     for block in d0_full(t).blocks:
-        signs = s_w(block.w_sigma).signs
+        signs = s_w(block.w_sigma)
         for J, _, _ in block.constituents:
             for i, sign in enumerate(signs):
                 if sign == 1:

@@ -15,7 +15,6 @@ from swlab.envelope import (
     hom_dim,
     k_of,
     sigma_label,
-    submodule_leq,
     tensor_translate,
     upward_closure,
     v_submodule,
@@ -207,16 +206,6 @@ def test_v_submodule_dims():
             assert dims == total
         else:
             assert dims < total
-
-
-def test_submodule_leq():
-    J = JSet(1, 0, 1)
-    both = JSet(1, 1, 1)
-    assert submodule_leq(J, J)
-    assert submodule_leq(both, J)
-    assert not submodule_leq(J, both)
-    a, b = JSet(1, 0, 1), JSet(0, 1, 1)
-    assert not submodule_leq(a, b) and not submodule_leq(b, a)
 
 
 def test_hom_dim():

@@ -16,7 +16,6 @@ from swlab.graph import (
     graph_json,
     in_graph,
     omega_element,
-    quotient_invariant,
     recenter_check,
     t_mu,
     t_mu_raw,
@@ -28,7 +27,10 @@ from swlab.lattice import (
     SerreWeightClass,
     Weight,
     WeylElement,
+    central_residue,
+    central_shift_vector,
     eta,
+    in_p_minus_pi_central,
     serre_class,
     stabilizes_base_alcove,
 )
@@ -69,19 +71,33 @@ def test_embedding_splits_by_decomposition():
 
 
 def test_omega_element_f1():
-    assert omega_element(P71, 0).element == ExtAffineElement.identity(1)
-    g = omega_element(P71, 1).element
+    assert omega_element(P71, 0) == ExtAffineElement.identity(1)
+    g = omega_element(P71, 1)
     assert g == ExtAffineElement(Weight(((0, -1),)), WeylElement((True,)))
 
 
+def searched_omega_element(params, J):
+    """The base-alcove stabilisers among the 2^f candidates
+    w . t_{-pi^-1 omega_J}, found by search: the reference form."""
+    f = params.f
+    shifted = LambdaWElement(tuple(J >> i & 1 for i in range(f))).frobenius_inverse()
+    nu = -embed_graph_point(shifted)
+    cands = [
+        ExtAffineElement.from_right_translation(WeylElement(flags), nu)
+        for flags in itertools.product((False, True), repeat=f)
+    ]
+    return [g for g in cands if stabilizes_base_alcove(params, g)]
+
+
 def test_omega_element_closed_form():
-    for p, f in ((5, 2), (7, 3)):
-        params = Params(p, f)
-        for mask in range(1 << f):
-            g = omega_element(params, mask).element
-            assert stabilizes_base_alcove(params, g)
-            expected = tuple(bool(mask >> ((i + 1) % f) & 1) for i in range(f))
-            assert g.weyl.flags == expected
+    masks = 0
+    for p in (5, 7, 11, 13):
+        for f in range(1, 5):
+            params = Params(p, f)
+            for mask in range(1 << f):
+                assert searched_omega_element(params, mask) == [omega_element(params, mask)]
+                masks += 1
+    assert masks == 120
 
 
 def test_t_mu_raw_values():
@@ -123,7 +139,7 @@ def test_t_mu_boundary_raises():
 def composed_t_mu_raw(params, mu, w):
     """t_mu_raw as composed Weight arithmetic through decompose and
     embed_graph_point, the reference form."""
-    g = omega_element(params, decompose(w).J).element
+    g = omega_element(params, decompose(w).J)
     e = eta(params.f)
     base = mu + embed_graph_point(w) - e
     return g.translation.scale(params.p) + g.weyl.act(base + e) - e
@@ -253,11 +269,31 @@ def test_enumerate_graph_requires_dominant():
         enumerate_graph(P71, Weight(((0, 0),)), 1)
 
 
-def test_quotient_invariant_defined_on_boundary():
-    mu = Weight(((2, 0),))
-    pairings, d = quotient_invariant(P51, mu, lam(-2))
-    assert pairings == (-1,)
-    assert 0 <= d < 4
+def test_central_residue_kernel_and_boundary():
+    # the residue is unchanged by a central shift exactly when the shift lies
+    # in (p - pi)X0(T)
+    rng = random.Random(2016)
+    congruent = 0
+    for p in (5, 7):
+        for f in (1, 2, 3):
+            params = Params(p, f)
+            for _ in range(200):
+                w = Weight(tuple((rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(f)))
+                if rng.random() < 0.5:
+                    m = [rng.randint(-3, 3) for _ in range(f)]
+                    c = tuple(p * m[i] - m[(i - 1) % f] for i in range(f))
+                else:
+                    c = tuple(rng.randint(-p, p) for _ in range(f))
+                shifted = w + central_shift_vector(c)
+                same = central_residue(params, shifted) == central_residue(params, w)
+                assert same == in_p_minus_pi_central(params, c), (p, f, w, c)
+                congruent += same
+    assert 0 < congruent < 1200
+    # the depth-1 boundary point has pairing -1, yet its raw image still gets
+    # the complete invariant (pairings, central residue)
+    x = t_mu_raw(P51, Weight(((2, 0),)), lam(-2))
+    assert x.pairings() == (-1,)
+    assert 0 <= central_residue(P51, x) < 4
 
 
 def test_graph_json_and_dot():

@@ -95,6 +95,23 @@ def test_empty_rows_are_reported_not_failed(capsys):
     assert rows[-1] == f"all {len(outcomes)} checks passed"
 
 
+# off the default grid some sweeps are structurally empty, and their rows are
+# left empty rather than widened: no parameter is pair-generic at p=5 f=3,
+# and no pairing vector is depth-deep when p <= 2 * depth + 1
+OFF_GRID_EMPTY = [
+    (SuiteConfig(p_list=(5,), f_list=(3,), cases=50), ["wq_genericity"]),
+    (SuiteConfig(p_list=(5,), f_list=(2,), depth=2, cases=50), ["graph_injectivity"]),
+    (SuiteConfig(p_list=(7,), f_list=(1,), depth=3, cases=50), ["graph_injectivity"]),
+]
+
+
+@pytest.mark.parametrize("cfg, empty", OFF_GRID_EMPTY, ids=["p5f3", "p5f2-depth2", "p7f1-depth3"])
+def test_off_grid_empty_rows_are_pinned(cfg, empty):
+    outcomes = run_suite(cfg)
+    assert [o.name for o in outcomes if o.status == "empty"] == empty
+    assert all(o.passed for o in outcomes)
+
+
 def test_case_counts_match_the_sweeps():
     outcomes = run_suite(SuiteConfig(p_list=(5,), f_list=(2,), cases=50))
     counts = {o.name: o.cases for o in outcomes}
