@@ -41,46 +41,48 @@ def s_w(w: WeylElement) -> tuple[int, ...]:
     return tuple(-1 if s else 1 for s in w.flags)
 
 
-def _concrete_generic(params: Params, mu: Weight) -> bool:
-    if not lattice.is_generic_char(params, mu):
-        return False
-    m = mu.pairings()
-    return m != (2,) * params.f and m != (params.p - 2,) * params.f
+def _concrete_generic(p: int, m: tuple[int, ...]) -> bool:
+    return all(2 <= y <= p - 2 for y in m) and m != (2,) * len(m) and m != (p - 2,) * len(m)
 
 
 def is_one_generic(t: TameParam) -> bool:
     """Concrete criterion at mu: every pairing in [2, p-2] and the pairing
     vector is neither all-2 nor all-(p-2)."""
-    return _concrete_generic(t.params, t.mu)
+    return _concrete_generic(t.params.p, t.mu.pairings())
 
 
-def presentation_weights(t: TameParam) -> tuple[Weight, ...]:
-    """The 2^f recentred weights, one per hypercube label, in label order.
-    Always computable: only raw graph images are taken."""
-    signs = s_w(t.w)
-    e = eta(t.params.f)
-    return tuple(
-        graph.t_mu_raw(t.params, t.mu, hypercube_point(signs, label)) + e
-        for label in range(1 << t.params.f)
-    )
+def _recentred_pairings(t: TameParam) -> tuple[tuple[int, ...], ...]:
+    """Pairings of the 2^f recentred weights in label order, in closed form:
+    at label mask J, with m = mu.pairings() and c_i = s_w(w)_i at the bits
+    of J and 0 elsewhere, y_i = m_i + c_i, or p - m_i - c_i where bit
+    (i+1) mod f of J is set (omega_element(J) reflecting t_mu_raw's base
+    pairing m_i + c_i - 1, plus eta).  Its oracle is the composed
+    presentation_weights (t_mu_raw + eta) in tests/test_weights.py."""
+    p, f, m, s = t.params.p, t.params.f, t.mu.pairings(), s_w(t.w)
+    out = []
+    for J in range(1 << f):
+        y = []
+        for i in range(f):
+            c = m[i] + s[i] if J >> i & 1 else m[i]
+            y.append(p - c if J >> (i + 1) % f & 1 else c)
+        out.append(tuple(y))
+    return tuple(out)
 
 
 def is_one_generic_pair(t: TameParam) -> bool:
-    """Genericity of the parameter pair: the concrete criterion must hold at
-    every recentred presentation weight, not just at mu.  For f >= 2 this is
-    strictly stronger than is_one_generic."""
-    return all(_concrete_generic(t.params, lam) for lam in presentation_weights(t))
+    """The concrete criterion at every vector of _recentred_pairings: all in
+    [2, p-2], neither all-2 nor all-(p-2); for f >= 2 stronger than
+    is_one_generic.  Oracle: presentation_weights in tests/test_weights.py."""
+    return all(_concrete_generic(t.params.p, y) for y in _recentred_pairings(t))
 
 
 def presentations_feasible(t: TameParam) -> bool:
-    """Whether every recentred presentation weight is 1-deep, which is what
-    the recentring search and the block construction actually require.
-    Implied by is_one_generic_pair but strictly weaker: at depth boundaries
-    a presentation may be the all-2 or all-(p-2) vector yet stay 1-deep."""
-    e = eta(t.params.f)
-    return all(
-        lattice.is_deep(t.params, lam - e, 1) for lam in presentation_weights(t)
-    )
+    """Whether every recentred weight is 1-deep, as recentring requires: each
+    y of _recentred_pairings has 1 < y mod p < p - 1.  Implied by
+    is_one_generic_pair but strictly weaker (an all-2 or all-(p-2) vector
+    can be 1-deep).  Oracle: is_deep on the tests' presentation_weights."""
+    p = t.params.p
+    return all(1 < y % p < p - 1 for ys in _recentred_pairings(t) for y in ys)
 
 
 def hypercube_point(signs: tuple[int, ...], label: int) -> LambdaWElement:
@@ -117,9 +119,7 @@ def _reflect_all(params: Params, predicted) -> tuple[SerreWeightClass, ...]:
 class Presentation:
     """One recentred presentation of the parameter: the weight attached to a
     hypercube label together with the Weyl element reproducing the set, in
-    the library's closed form w_sigma_i = w_i xor J_i xor J_(i+1) for the
-    label mask J; its oracles are _search_per_candidate in
-    tests/test_weights.py and, for the stabiliser, verify's omega_uniqueness."""
+    the closed form (and with the oracles) stated at _presentation."""
 
     label: int
     sigma: SerreWeightClass

@@ -1,22 +1,28 @@
 import itertools
+import random
 
 import pytest
 
+from swlab import graph, lattice
 from swlab.errors import PresentationError, PreconditionViolation
 from swlab.lattice import (
     Params,
     SerreWeightClass,
     Weight,
     WeylElement,
+    eta,
     herzig_reflect,
+    is_deep,
+    is_generic_char,
 )
 from swlab.weights import (
     TameParam,
+    _recentred_pairings,
+    hypercube_point,
     is_one_generic,
     is_one_generic_pair,
     jh_dl_reduction,
     presentation,
-    presentation_weights,
     presentations,
     presentations_feasible,
     s_w,
@@ -46,6 +52,92 @@ def test_is_one_generic():
     assert not is_one_generic(two_two)
     mixed = TameParam(WeylElement((False, False)), Weight(((2, 0), (5, 0))), P72)
     assert is_one_generic(mixed)
+
+
+def presentation_weights(t):
+    """The 2^f recentred weights t_mu_raw(hypercube point) + eta, one per
+    hypercube label in label order: the composed oracle for the closed form
+    _recentred_pairings and the two predicates that read it."""
+    signs = s_w(t.w)
+    e = eta(t.params.f)
+    return tuple(
+        graph.t_mu_raw(t.params, t.mu, hypercube_point(signs, label)) + e
+        for label in range(1 << t.params.f)
+    )
+
+
+def _oracle_grid():
+    """Every TameParam of the grid: p in {5, 7, 11, 13} at f <= 2 with
+    pairings in [-p-1, 2p+1] (in [-2, p+2] at p >= 11, f = 2) and seeded
+    central shifts, f = 3 at p in {5, 7, 11} and f = 4 at p in {5, 7} with
+    pairings in [0, p]."""
+    rng = random.Random(20161)
+    grid = [(p, 1, range(-p - 1, 2 * p + 2)) for p in (5, 7, 11, 13)]
+    grid += [(p, 2, range(-p - 1, 2 * p + 2)) for p in (5, 7)]
+    grid += [(p, 2, range(-2, p + 3)) for p in (11, 13)]
+    grid += [(p, 3, range(p + 1)) for p in (5, 7, 11)]
+    grid += [(p, 4, range(p + 1)) for p in (5, 7)]
+    for p, f, box in grid:
+        params = Params(p, f)
+        for pairings in itertools.product(box, repeat=f):
+            shifts = [rng.randint(-p, p) if f <= 2 else 0 for _ in range(f)]
+            mu = Weight(tuple((m + b, b) for m, b in zip(pairings, shifts)))
+            try:
+                TameParam(WeylElement((False,) * f), mu, params)
+            except PreconditionViolation:
+                continue  # mu - eta is not 1-deep, whatever w is
+            for flags in itertools.product((False, True), repeat=f):
+                yield TameParam(WeylElement(flags), mu, params)
+
+
+def test_recentred_pairings_match_composed_oracle():
+    seen = {"params": 0, "feasible": 0, "pair": 0}
+    degrees = set()
+    for t in _oracle_grid():
+        p, f = t.params.p, t.params.f
+        lams = presentation_weights(t)
+        ys = tuple(l.pairings() for l in lams)
+        assert _recentred_pairings(t) == ys
+        e = eta(f)
+        feasible = all(is_deep(t.params, l - e, 1) for l in lams)
+        pair = all(is_generic_char(t.params, l) for l in lams)
+        pair = pair and (2,) * f not in ys and (p - 2,) * f not in ys
+        assert presentations_feasible(t) == feasible
+        assert is_one_generic_pair(t) == pair
+        # the docstring's ordering claim: pair genericity implies feasibility
+        assert feasible or not pair
+        seen["params"] += 1
+        seen["feasible"] += feasible
+        seen["pair"] += pair
+        degrees.add(f)
+    assert seen["params"] > seen["feasible"] > seen["pair"] > 0
+    assert degrees == {1, 2, 3, 4}
+
+
+def test_predicates_take_no_graph_images(monkeypatch):
+    calls = {"t_mu_raw": 0, "p_dot": 0}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(graph, "t_mu_raw")
+    spy(lattice, "p_dot")
+    params = Params(7, 3)
+    for pairings in itertools.product(range(2, 6), repeat=3):
+        mu = Weight(tuple((m, 0) for m in pairings))
+        for flags in itertools.product((False, True), repeat=3):
+            t = TameParam(WeylElement(flags), mu, params)
+            presentations_feasible(t)
+            is_one_generic_pair(t)
+    assert calls == {"t_mu_raw": 0, "p_dot": 0}
+    presentation_weights(t)  # the spies do see the composed form
+    assert calls == {"t_mu_raw": 8, "p_dot": 8}
 
 
 def test_is_one_generic_pair_counterexample():
