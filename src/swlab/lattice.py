@@ -14,20 +14,15 @@ half-sum eta = (1,0) in every coordinate.
 from __future__ import annotations
 
 import functools
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import NotRegular, NotRestricted, PreconditionViolation
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 @dataclass(frozen=True)
@@ -176,8 +171,13 @@ class ExtAffineElement:
         return ExtAffineElement(w.act(nu), w)
 
     def __mul__(self, other: "ExtAffineElement") -> "ExtAffineElement":
-        # (t_a v)(t_b w) = t_{a + v(b)} (vw), and a + v(b) is the affine image of b
-        return ExtAffineElement(self.act(other.translation), self.weyl * other.weyl)
+        # (t_a v)(t_b w) = t_{a + v(b)} (vw) in one pass, v swapping b where flagged
+        coords, flags = [], []
+        left, right = self.translation.coords, other.translation.coords
+        for (a, b), v, (c, d), w in zip(left, self.weyl.flags, right, other.weyl.flags):
+            coords.append((a + d, b + c) if v else (a + c, b + d))
+            flags.append(v ^ w)
+        return ExtAffineElement(Weight(tuple(coords)), WeylElement(tuple(flags)))
 
     def inverse(self) -> "ExtAffineElement":
         # components of W are involutions, so w^-1 = w and the translation is w(-a)
@@ -214,24 +214,27 @@ def p_dot(params: Params, g: ExtAffineElement, w: Weight) -> Weight:
     )
 
 
-def is_deep(params: Params, w: Weight, n: int) -> bool:
-    """True when every pairing of w + eta stays n away from the p-walls."""
-    if n < 0:
-        return True
-    p = params.p
-    for i in range(w.f):
-        r = (w.pairing(i) + 1) % p
-        if not (n < r < p - n):
+def clear_of_walls(p: int, ys: Iterable[int], n: int) -> bool:
+    """The wall test, symmetric under y -> -y: every pairing y of ys has
+    n < y mod p < p - n, n away from the p-walls (always so for n < 0)."""
+    for y in ys:
+        if not n < y % p < p - n:
             return False
     return True
 
 
+def is_deep(params: Params, w: Weight, n: int) -> bool:
+    """The wall test on the pairings a_i - b_i + 1 of w + eta."""
+    return clear_of_walls(params.p, [a - b + 1 for a, b in w.coords], n)
+
+
 def require_one_deep(params: Params, mu: Weight) -> None:
-    """Raise unless mu - eta is 1-deep, the standing hypothesis on mu."""
-    if not is_deep(params, mu - eta(params.f), 1):
-        raise PreconditionViolation(
-            f"mu - eta must be 1-deep, pairings of mu are {mu.pairings()}"
-        )
+    """Raise unless mu - eta is 1-deep, the standing hypothesis on mu.  The
+    pairings of (mu - eta) + eta are those of mu, so this is the wall test
+    1 < m_i mod p < p - 1 on mu.pairings(), with no mu - eta built."""
+    m = mu.pairings()
+    if not clear_of_walls(params.p, m, 1):
+        raise PreconditionViolation(f"mu - eta must be 1-deep, pairings of mu are {m}")
 
 
 def is_generic_char(params: Params, w: Weight) -> bool:
@@ -338,14 +341,9 @@ def stabilizes_base_alcove(params: Params, g: ExtAffineElement) -> bool:
     map y -> p.<t, a_i> + sign_i.y, which maps the open interval (0, p) onto
     itself only for (<t, a_i>, sign_i) in {(0, +1), (1, -1)}.
     """
-    for i in range(g.f):
-        c = g.translation.pairing(i)
-        if g.weyl.flags[i]:
-            if c != 1:
-                return False
-        else:
-            if c != 0:
-                return False
+    for (a, b), s in zip(g.translation.coords, g.weyl.flags):
+        if a - b != s:
+            return False
     return True
 
 

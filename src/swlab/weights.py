@@ -56,8 +56,8 @@ def _recentred_pairings(t: TameParam) -> tuple[tuple[int, ...], ...]:
     at label mask J, with m = mu.pairings() and c_i = s_w(w)_i at the bits
     of J and 0 elsewhere, y_i = m_i + c_i, or p - m_i - c_i where bit
     (i+1) mod f of J is set (omega_element(J) reflecting t_mu_raw's base
-    pairing m_i + c_i - 1, plus eta).  Its oracle is the composed
-    presentation_weights (t_mu_raw + eta) in tests/test_weights.py."""
+    pairing m_i + c_i - 1, plus eta).  Read by is_one_generic_pair; oracle:
+    the composed presentation_weights (t_mu_raw + eta) in the tests."""
     p, f, m, s = t.params.p, t.params.f, t.mu.pairings(), s_w(t.w)
     out = []
     for J in range(1 << f):
@@ -77,12 +77,14 @@ def is_one_generic_pair(t: TameParam) -> bool:
 
 
 def presentations_feasible(t: TameParam) -> bool:
-    """Whether every recentred weight is 1-deep, as recentring requires: each
-    y of _recentred_pairings has 1 < y mod p < p - 1.  Implied by
+    """Whether every recentred weight is 1-deep, as recentring requires.  At
+    coordinate i each recentred pairing is +-m_i or +-(m_i + s_i) mod p, the
+    wall test is symmetric under y -> -y and TameParam has tested every m_i,
+    so this is 1 < (m_i + s_i) mod p < p - 1 at every i.  Implied by
     is_one_generic_pair but strictly weaker (an all-2 or all-(p-2) vector
     can be 1-deep).  Oracle: is_deep on the tests' presentation_weights."""
-    p = t.params.p
-    return all(1 < y % p < p - 1 for ys in _recentred_pairings(t) for y in ys)
+    shifted = [m + s for m, s in zip(t.mu.pairings(), s_w(t.w))]
+    return lattice.clear_of_walls(t.params.p, shifted, 1)
 
 
 def hypercube_point(signs: tuple[int, ...], label: int) -> LambdaWElement:

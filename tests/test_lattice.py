@@ -23,6 +23,7 @@ from swlab.lattice import (
     is_generic_char,
     is_regular,
     p_dot,
+    require_one_deep,
     restricted_lift,
     serre_class,
     stabilizes_base_alcove,
@@ -186,6 +187,60 @@ def test_is_deep():
     # shifted pairing 5 is on a wall mod 5
     assert not is_deep(P52, Weight(((4, 0), (2, 0))), 0)
     assert is_deep(P71, Weight(((1, 0),)), -1)
+
+
+def test_is_deep_below_zero_is_always_true():
+    # every residue y mod p lies in (n, p - n) once n < 0, walls included
+    rng = random.Random(20161)
+    for p, f in ((5, 1), (7, 2), (11, 3), (5, 4)):
+        params = Params(p, f)
+        for _ in range(200):
+            w = Weight(tuple((rng.randint(-3 * p, 3 * p), rng.randint(-p, p)) for _ in range(f)))
+            assert all(is_deep(params, w, n) for n in (-1, -2, -p, -p - 3))
+    assert is_deep(P52, Weight(((4, 0), (-1, 0))), -1)  # both shifted pairings on a wall
+
+
+def _require_one_deep_oracle(params, mu):
+    """The composed form: build mu - eta and ask is_deep, with the message
+    require_one_deep has always raised."""
+    if not is_deep(params, mu - eta(params.f), 1):
+        raise PreconditionViolation(
+            f"mu - eta must be 1-deep, pairings of mu are {mu.pairings()}"
+        )
+
+
+def _outcome(check, params, mu):
+    try:
+        check(params, mu)
+    except Exception as exc:  # the type and the message are both pinned
+        return type(exc), str(exc)
+    return None
+
+
+def test_require_one_deep_matches_composed_oracle():
+    """require_one_deep tests mu.pairings() directly, since the pairings of
+    (mu - eta) + eta are those of mu; the verdict, the exception type and the
+    message all match the oracle, on pairings outside [0, p], negative ones
+    and seeded central shifts, at f <= 4."""
+    rng = random.Random(20161)
+    seen = {None: 0, "raised": 0}
+    for p in (5, 7, 11):
+        for f in (1, 2, 3, 4):
+            params = Params(p, f)
+            box = range(-p - 2, 2 * p + 3)
+            if f <= 2:
+                vectors = list(itertools.product(box, repeat=f))
+            else:
+                vectors = [tuple(rng.choice(box) for _ in range(f)) for _ in range(400)]
+            for pairings in vectors:
+                shifts = [rng.randint(-p, p) for _ in range(f)]
+                mu = Weight(tuple((m + b, b) for m, b in zip(pairings, shifts)))
+                got = _outcome(require_one_deep, params, mu)
+                assert got == _outcome(_require_one_deep_oracle, params, mu), (params, mu)
+                seen[None if got is None else "raised"] += 1
+                if got is not None:
+                    assert got[0] is PreconditionViolation
+    assert seen[None] > 0 and seen["raised"] > 0
 
 
 def test_is_generic_char():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from swlab import graph, lattice
+from swlab import graph, lattice, weights
 from swlab.errors import PresentationError, PreconditionViolation
 from swlab.lattice import (
     Params,
@@ -115,7 +115,7 @@ def test_recentred_pairings_match_composed_oracle():
 
 
 def test_predicates_take_no_graph_images(monkeypatch):
-    calls = {"t_mu_raw": 0, "p_dot": 0}
+    calls = {"t_mu_raw": 0, "p_dot": 0, "_recentred_pairings": 0}
 
     def spy(module, name):
         real = getattr(module, name)
@@ -128,16 +128,47 @@ def test_predicates_take_no_graph_images(monkeypatch):
 
     spy(graph, "t_mu_raw")
     spy(lattice, "p_dot")
+    spy(weights, "_recentred_pairings")
     params = Params(7, 3)
-    for pairings in itertools.product(range(2, 6), repeat=3):
+    ts = [
+        TameParam(WeylElement(flags), Weight(tuple((m, 0) for m in pairings)), params)
+        for pairings in itertools.product(range(2, 6), repeat=3)
+        for flags in itertools.product((False, True), repeat=3)
+    ]
+    for t in ts:
+        presentations_feasible(t)  # the per-coordinate reduction: no vectors
+    assert calls == {"t_mu_raw": 0, "p_dot": 0, "_recentred_pairings": 0}
+    for t in ts:
+        is_one_generic_pair(t)  # the all-2/all-(p-2) clause needs the vectors
+    assert calls == {"t_mu_raw": 0, "p_dot": 0, "_recentred_pairings": len(ts)}
+    presentation_weights(ts[-1])  # the spies do see the composed form
+    assert calls == {"t_mu_raw": 8, "p_dot": 8, "_recentred_pairings": len(ts)}
+
+
+# Feasible generic parameters with pairings in [2, p-2], over every w, by
+# (p, f): the populations of ROADMAP item 6 and of the d0_sweep benchmark.
+FEASIBLE_GENERIC_COUNTS = {
+    (7, 1): 4,
+    (11, 1): 12,
+    (5, 2): 2,
+    (7, 2): 34,
+    (11, 2): 194,
+    (5, 3): 6,
+    (7, 3): 214,
+    (11, 3): 2742,
+}
+
+
+@pytest.mark.parametrize("p, f", sorted(FEASIBLE_GENERIC_COUNTS))
+def test_feasible_generic_counts_are_pinned(p, f):
+    params = Params(p, f)
+    count = 0
+    for pairings in itertools.product(range(2, p - 1), repeat=f):
         mu = Weight(tuple((m, 0) for m in pairings))
-        for flags in itertools.product((False, True), repeat=3):
+        for flags in itertools.product((False, True), repeat=f):
             t = TameParam(WeylElement(flags), mu, params)
-            presentations_feasible(t)
-            is_one_generic_pair(t)
-    assert calls == {"t_mu_raw": 0, "p_dot": 0}
-    presentation_weights(t)  # the spies do see the composed form
-    assert calls == {"t_mu_raw": 8, "p_dot": 8}
+            count += is_one_generic(t) and presentations_feasible(t)
+    assert count == FEASIBLE_GENERIC_COUNTS[p, f]
 
 
 def test_is_one_generic_pair_counterexample():
