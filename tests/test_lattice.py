@@ -238,8 +238,6 @@ def test_require_one_deep_matches_composed_oracle():
                 got = _outcome(require_one_deep, params, mu)
                 assert got == _outcome(_require_one_deep_oracle, params, mu), (params, mu)
                 seen[None if got is None else "raised"] += 1
-                if got is not None:
-                    assert got[0] is PreconditionViolation
     assert seen[None] > 0 and seen["raised"] > 0
 
 
